@@ -9,8 +9,6 @@ from .core import (
     NonFiniteValue,
     OrdConfig,
     SimplexWeights,
-    combine,
-    feasible_step_bound,
 )
 from .dfsimplex import DfSimplexResult, StopReason, df_simplex_solve
 from .linesearch import LineSearchOutcome, line_search
@@ -31,9 +29,7 @@ __all__ = [
     "PoisednessFailure",
     "SimplexWeights",
     "StopReason",
-    "combine",
     "df_simplex_solve",
-    "feasible_step_bound",
     "line_search",
     "ord_solve",
 ]

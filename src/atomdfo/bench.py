@@ -510,16 +510,6 @@ class ProblemInstance:
     def problem_id(self) -> str:
         return f"{self.function_name}_n{self.n}_m{self.m}_seed{self.seed}"
 
-    def manifest(self) -> dict:
-        """The JSON-able reproducibility record; see problem_from_manifest."""
-        return {
-            "function": self.function_name,
-            "n": self.n,
-            "m": self.m,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
-
 
 def make_problem(
     name: str, n: int, m: int, seed: int, budget_factor: int = 100
@@ -539,25 +529,3 @@ def make_problem(
         seed=seed,
         budget=budget_factor * (n + 1),
     )
-
-
-def problem_from_manifest(manifest: dict) -> ProblemInstance:
-    """Reconstruct a problem from its manifest record (budget taken verbatim)."""
-    problem = make_problem(
-        str(manifest["function"]),
-        int(manifest["n"]),
-        int(manifest["m"]),
-        int(manifest["seed"]),
-    )
-    budget = int(manifest.get("budget", problem.budget))
-    if budget != problem.budget:
-        problem = ProblemInstance(
-            function_name=problem.function_name,
-            n=problem.n,
-            m=problem.m,
-            atoms=problem.atoms,
-            start_id=problem.start_id,
-            seed=problem.seed,
-            budget=budget,
-        )
-    return problem

@@ -89,7 +89,7 @@ class SuiteConfig:
             raise UsageError("budget_factor must be positive")
         try:
             _ord_config(0, dict(self.ord_options))
-            DfSimplexConfig(rng_seed=0, **dict(self.dfsimplex_options))
+            DfSimplexConfig(**dict(self.dfsimplex_options))
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad solver options: {exc}") from exc
 
@@ -140,7 +140,7 @@ def run_one(
         w = result.weights
         weights[list(w.ids)] = w.w
     elif solver == "dfsimplex":
-        cfg = DfSimplexConfig(rng_seed=seed, **(dfsimplex_options or {}))
+        cfg = DfSimplexConfig(**(dfsimplex_options or {}))
         y0 = np.zeros(m)
         y0[problem.start_id] = 1.0
         phi = lambda yv: objective(yv @ problem.atoms.atoms)  # noqa: E731

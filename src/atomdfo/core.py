@@ -88,42 +88,11 @@ class SimplexWeights:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "ids", ids)
 
-    @classmethod
-    def vertex(cls, ids: Sequence[int], position: int = 0) -> "SimplexWeights":
-        ids = tuple(ids)
-        w = np.zeros(len(ids))
-        w[position] = 1.0
-        return cls(w, ids)
-
     def point(self, atoms: AtomSet) -> np.ndarray:
-        return combine(atoms.subset(self.ids), self.w)
+        return self.w @ atoms.subset(self.ids)
 
     def __len__(self) -> int:
         return len(self.w)
-
-
-def combine(atom_matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Convex combination sum_i w_i a_i of the rows of ``atom_matrix``.
-
-    Plain linear combination; no normalization is applied.
-    """
-    atom_matrix = np.asarray(atom_matrix, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if atom_matrix.ndim != 2 or w.ndim != 1 or atom_matrix.shape[0] != len(w):
-        raise ValueError(
-            f"cannot combine {atom_matrix.shape} atom matrix with {w.shape} weights"
-        )
-    return w @ atom_matrix
-
-
-def feasible_step_bound(z: np.ndarray, i: int, j: int) -> float:
-    """Largest step a >= 0 with z + a*(e_i - e_j) still in the simplex.
-
-    Only coordinate j decreases and the sum is preserved, so the bound is z_j.
-    """
-    if i == j:
-        raise ValueError("exchange direction needs i != j")
-    return float(z[j])
 
 
 def exchange_point(z: np.ndarray, sign: int, i: int, j: int, step: float) -> np.ndarray:
@@ -175,16 +144,6 @@ class BudgetedObjective:
         self.trace.append((self.eval_count, value, self._best))
         return value
 
-    @property
-    def best_f(self) -> float:
-        return self._best
-
-    @property
-    def remaining(self) -> Optional[int]:
-        if self.budget is None:
-            return None
-        return self.budget - self.eval_count
-
     def history(self) -> np.ndarray:
         """Best-so-far value after each evaluation (non-increasing)."""
         return np.array([best for (_, _, best) in self.trace])
@@ -198,18 +157,13 @@ class DfSimplexConfig:
     broadcast to every coordinate's initial stepsize.
     """
 
-    tau: float = 1.0
     theta: float = 0.5
     gamma: float = 1e-6
     delta: float = 0.5
     alpha0: float = 1.0
     epsilon: float = 1e-4
-    shuffle_directions: bool = False
-    rng_seed: Optional[int] = None
 
     def __post_init__(self):
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
         if self.gamma <= 0.0:

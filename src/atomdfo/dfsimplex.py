@@ -1,8 +1,8 @@
 """Direct search over the unit simplex with exchange directions +/-(e_i - e_j).
 
-Each outer iteration picks a pivot coordinate with (sufficiently) maximal
-weight, line-searches every other coordinate against it from the running
-point, and maintains per-coordinate starting stepsizes floored at the
+Each outer iteration picks the max-weight pivot coordinate, line-searches
+every other coordinate against it in index order from the running point,
+and maintains per-coordinate starting stepsizes floored at the
 stopping tolerance epsilon. The solver stops at the first iteration that
 starts with every stepsize at the floor and accepts no step, which certifies
 an approximate-stationarity bound for gradient-Lipschitz objectives.
@@ -24,10 +24,8 @@ class StopReason(Enum):
     BUDGET = "budget"
 
 
-def choose_pivot(y: np.ndarray, tau: float = 1.0) -> int:
-    """Index j with y_j >= tau * max(y): the argmax, lowest index on ties."""
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
+def choose_pivot(y: np.ndarray) -> int:
+    """The max-weight coordinate, lowest index on ties."""
     return int(np.argmax(y))
 
 
@@ -60,17 +58,6 @@ class DfSimplexResult:
     stop: StopReason
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Per-iteration trace record for an optional caller-provided sink."""
-
-    k: int
-    f: float
-    evals: int
-    alpha_hat_min: float
-    alpha_hat_max: float
-
-
 def _dedup_samples(samples):
     seen = set()
     out = []
@@ -86,7 +73,6 @@ def df_simplex_iterate(
     state: DfSimplexState,
     phi: Callable[[np.ndarray], float],
     cfg: DfSimplexConfig,
-    rng: Optional[np.random.Generator] = None,
 ) -> DfSimplexState:
     """One outer iteration: pivot, sweep of line searches, stepsize updates.
 
@@ -96,7 +82,7 @@ def df_simplex_iterate(
     y = state.y
     m = len(y)
     ah = state.alpha_hat
-    j = choose_pivot(y, cfg.tau)
+    j = choose_pivot(y)
     entered_at_floor = bool(np.all(ah == cfg.epsilon))
 
     z = y.copy()
@@ -106,11 +92,9 @@ def df_simplex_iterate(
     samples: List[Tuple[np.ndarray, float]] = []
     exhausted = False
 
-    order = [i for i in range(m) if i != j]
-    if cfg.shuffle_directions and rng is not None:
-        rng.shuffle(order)
-
-    for i in order:
+    for i in range(m):
+        if i == j:
+            continue
         try:
             out = line_search(phi, z, f_z, i, j, float(ah[i]), cfg.gamma, cfg.delta)
         except BudgetExhausted:
@@ -151,7 +135,6 @@ def df_simplex_solve(
     y0: np.ndarray,
     cfg: DfSimplexConfig,
     f0: Optional[float] = None,
-    sink: Optional[Callable[[IterationRecord], None]] = None,
 ) -> DfSimplexResult:
     """Run the direct search from y0 until the tolerance or the budget stops it.
 
@@ -192,20 +175,9 @@ def df_simplex_solve(
         alpha_hat=np.full(m, float(cfg.alpha0)),
         k=0,
     )
-    rng = np.random.default_rng(cfg.rng_seed) if cfg.shuffle_directions else None
 
     while True:
-        state = df_simplex_iterate(state, phi_counted, cfg, rng)
-        if sink is not None:
-            sink(
-                IterationRecord(
-                    k=state.k,
-                    f=state.f_y,
-                    evals=evals,
-                    alpha_hat_min=float(state.alpha_hat.min()),
-                    alpha_hat_max=float(state.alpha_hat.max()),
-                )
-            )
+        state = df_simplex_iterate(state, phi_counted, cfg)
         if state.budget_exhausted:
             stop = StopReason.BUDGET
             break

@@ -12,7 +12,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .core import exchange_point, feasible_step_bound
+from .core import exchange_point
 
 
 @dataclass
@@ -64,7 +64,7 @@ def line_search(
     f_acc = f_z
 
     # Forward probe: the bound along +(e_i - e_j) is z_j.
-    fwd_bound = feasible_step_bound(z, i, j)
+    fwd_bound = float(z[j])
     step = min(fwd_bound, alpha_hat)
     if step > 0.0:
         value = probe(+1, step)
@@ -73,7 +73,7 @@ def line_search(
 
     # Backward probe: the bound along -(e_i - e_j) is z_i.
     if sign == 0:
-        bwd_bound = feasible_step_bound(z, j, i)
+        bwd_bound = float(z[i])
         step = min(bwd_bound, alpha_hat)
         if step > 0.0:
             value = probe(-1, step)

@@ -85,24 +85,23 @@ def refine_phase(
     x_bar: np.ndarray,
     f_bar: float,
     atoms: AtomSet,
-    active_ids: Sequence[int],
+    candidates: Sequence[int],
     mu_hat: float,
     gamma: float,
     rng: np.random.Generator,
 ) -> RefineOutcome:
-    """Try inactive atoms in seeded random order, one evaluation per candidate.
+    """Try the candidate atom ids in seeded random order, one evaluation each.
 
     A candidate a is accepted when f(x_bar + mu_hat*(a - x_bar)) improves on
-    f_bar by at least gamma*mu_hat**2; the first success wins.
+    f_bar by at least gamma*mu_hat**2; the first success wins. The seeded
+    permutation is over positions in ``candidates``, so their order matters.
     """
-    active = set(int(i) for i in active_ids)
-    candidates = [i for i in range(atoms.m) if i not in active]
-    if not candidates:
+    if len(candidates) == 0:
         return RefineOutcome(None, 0.0, None, f_bar, 0)
     order = rng.permutation(len(candidates))
     tried = 0
     for idx in order:
-        atom_id = candidates[idx]
+        atom_id = int(candidates[idx])
         trial = x_bar + mu_hat * (atoms.atoms[atom_id] - x_bar)
         try:
             f_trial = f(trial)
@@ -279,8 +278,12 @@ def ord_solve(
         if inner.stop is InnerStop.BUDGET:
             return result(x_bar, f_bar, active, y_bar, k, OrdStop.BUDGET)
 
+        # ascending, so each seeded refine draw maps to the same atom id
+        inactive_mask = np.ones(atoms.m, dtype=bool)
+        inactive_mask[active] = False
+        inactive = np.flatnonzero(inactive_mask)
         refine = refine_phase(
-            objective, x_bar, f_bar, atoms, active, mu_hat, cfg.gamma, rng
+            objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
         )
 
         gradient = None
@@ -319,8 +322,7 @@ def ord_solve(
             mu_next = cfg.theta * mu_hat
             if refine.budget_exhausted:
                 return result(x_next, f_next, new_active, y_next, k + 1, OrdStop.BUDGET)
-            inactive = [i for i in range(atoms.m) if i not in set(active)]
-            if not inactive:
+            if len(inactive) == 0:
                 # Every atom is active: nothing to refine toward, so the run
                 # is a fixpoint only once the tolerance schedule has bottomed
                 # out, nothing is droppable, and the inner solve at the floor

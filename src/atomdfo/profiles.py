@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -122,54 +122,6 @@ def performance_profile(
         ratios = np.array(ratios)
         curves[s] = np.array([np.mean(ratios <= iota) for iota in iotas])
     return curves
-
-
-# --- CSV interfaces ----------------------------------------------------------
-
-LONG_HEADER = ("problem_id", "solver_id", "n_p", "eval_index", "best_f")
-
-
-def write_records_csv(path, records: Iterable[RunRecord]) -> None:
-    """Long-format dump: one row per (run, evaluation)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LONG_HEADER)
-        for r in records:
-            for idx, best in enumerate(r.history, start=1):
-                writer.writerow([r.problem_id, r.solver_id, r.n_p, idx, f"{best:.17g}"])
-
-
-def read_records_csv(path) -> List[RunRecord]:
-    """Rebuild run records from the long-format CSV."""
-    rows: Dict[tuple, list] = {}
-    dims: Dict[tuple, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != LONG_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(LONG_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                key = (row["problem_id"], row["solver_id"])
-                idx = int(row["eval_index"])
-                best = float(row["best_f"])
-                dims[key] = int(row["n_p"])
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}: bad row {line_no}: {exc}") from exc
-            rows.setdefault(key, []).append((idx, best))
-    records = []
-    for key, entries in rows.items():
-        entries.sort()
-        history = np.array([best for _, best in entries])
-        records.append(
-            RunRecord(
-                problem_id=key[0],
-                solver_id=key[1],
-                n_p=dims[key],
-                history=history,
-                f0=float(history[0]),
-            )
-        )
-    return records
 
 
 def write_curves_csv(path, curves: Dict[str, np.ndarray], grid: Sequence[float]) -> None:

@@ -54,7 +54,7 @@ def _run_dfsimplex(name, m, seed):
     y0 = np.zeros(m)
     y0[problem.start_id] = 1.0
     phi = lambda yv: objective(yv @ problem.atoms.atoms)  # noqa: E731
-    df_simplex_solve(phi, y0, DfSimplexConfig(rng_seed=seed))
+    df_simplex_solve(phi, y0, DfSimplexConfig())
     return objective.history()
 
 

@@ -186,14 +186,3 @@ class TestMakeProblem:
     def test_invalid_combination_rejected(self):
         with pytest.raises(ValueError):
             make_problem("ext_beale", 9, 20, seed=0)
-
-    def test_manifest_round_trip(self):
-        from atomdfo.bench import problem_from_manifest
-
-        original = make_problem("cosine", 4, 12, seed=9, budget_factor=50)
-        manifest = original.manifest()
-        assert manifest == {"function": "cosine", "n": 4, "m": 12, "seed": 9, "budget": 250}
-        rebuilt = problem_from_manifest(manifest)
-        assert np.array_equal(rebuilt.atoms.atoms, original.atoms.atoms)
-        assert rebuilt.start_id == original.start_id
-        assert rebuilt.budget == 250

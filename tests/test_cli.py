@@ -217,6 +217,9 @@ class TestSuiteConfig:
             {"pairs": [[0, 5]]},
             {"solvers": ["nope"]},
             {"budget_factor": 0},
+            {"dfsimplex": {"tau": 0.5}},
+            {"dfsimplex": {"shuffle_directions": True}},
+            {"ord": {"inner": {"rng_seed": 1}}},
         ],
     )
     def test_invalid_manifest_fields(self, tmp_path, overrides):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,58 +13,61 @@ from atomdfo.core import (
     NonFiniteValue,
     OrdConfig,
     SimplexWeights,
-    combine,
     exchange_point,
-    feasible_step_bound,
     is_simplex_point,
 )
 
 
 class TestCombine:
+    """``SimplexWeights.point`` is the convex combination sum_i w_i a_i."""
+
     def test_vertex_weight(self):
-        atoms = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert np.array_equal(combine(atoms, np.array([1.0, 0.0])), [0.0, 0.0])
+        atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        w = SimplexWeights(np.array([1.0, 0.0]), (0, 1))
+        assert np.array_equal(w.point(atoms), [0.0, 0.0])
 
     def test_midpoint(self):
-        atoms = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert np.array_equal(combine(atoms, np.array([0.5, 0.5])), [1.0, 0.0])
+        atoms = AtomSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        w = SimplexWeights(np.array([0.5, 0.5]), (0, 1))
+        assert np.array_equal(w.point(atoms), [1.0, 0.0])
 
     def test_three_atom_combination(self):
         # hand dot product: 0.25*(1,1) + 0.25*(3,1) + 0.5*(1,5) = (1.5, 3.0)
-        atoms = np.array([[1.0, 1.0], [3.0, 1.0], [1.0, 5.0]])
-        w = np.array([0.25, 0.25, 0.5])
-        assert np.allclose(combine(atoms, w), [1.5, 3.0], atol=1e-15)
+        atoms = AtomSet(np.array([[1.0, 1.0], [3.0, 1.0], [1.0, 5.0]]))
+        w = SimplexWeights(np.array([0.25, 0.25, 0.5]), (0, 1, 2))
+        assert np.allclose(w.point(atoms), [1.5, 3.0], atol=1e-15)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            combine(np.eye(3), np.array([0.5, 0.5]))
+        # weights naming an atom the set does not have
+        with pytest.raises(IndexError):
+            SimplexWeights(np.array([0.5, 0.5]), (0, 3)).point(AtomSet(np.eye(3)))
 
     @given(st.integers(0, 10**9))
     def test_linearity(self, seed):
         rng = np.random.default_rng(seed)
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-        atoms = rng.uniform(-5, 5, (m, n))
+        atoms = AtomSet(rng.uniform(-5, 5, (m, n)))
+        point = lambda w: SimplexWeights(w, tuple(range(m))).point(atoms)  # noqa: E731
         u = rng.dirichlet(np.ones(m))
         v = rng.dirichlet(np.ones(m))
         lam = float(rng.uniform())
-        lhs = combine(atoms, lam * u + (1 - lam) * v)
-        rhs = lam * combine(atoms, u) + (1 - lam) * combine(atoms, v)
+        lhs = point(lam * u + (1 - lam) * v)
+        rhs = lam * point(u) + (1 - lam) * point(v)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestFeasibleStepBound:
+    """The largest feasible step along e_i - e_j is z_j: it empties coordinate j."""
+
     def test_bound_is_z_j(self):
-        assert feasible_step_bound(np.array([0.5, 0.5]), 0, 1) == 0.5
+        assert np.array_equal(exchange_point(np.array([0.5, 0.5]), +1, 0, 1, 0.5), [1.0, 0.0])
 
     def test_full_transfer(self):
-        assert feasible_step_bound(np.array([1.0, 0.0]), 1, 0) == 1.0
+        assert np.array_equal(exchange_point(np.array([1.0, 0.0]), +1, 1, 0, 1.0), [0.0, 1.0])
 
     def test_three_coordinates(self):
-        assert feasible_step_bound(np.array([0.2, 0.5, 0.3]), 0, 2) == 0.3
-
-    def test_same_index_rejected(self):
-        with pytest.raises(ValueError):
-            feasible_step_bound(np.array([0.5, 0.5]), 1, 1)
+        z = np.array([0.2, 0.5, 0.3])
+        assert np.array_equal(exchange_point(z, +1, 0, 2, z[2]), [0.5, 0.5, 0.0])
 
     def test_exchange_beyond_bound_is_structural_error(self):
         with pytest.raises(ValueError):
@@ -74,7 +79,7 @@ class TestFeasibleStepBound:
         m = int(rng.integers(2, 7))
         z = rng.dirichlet(np.ones(m))
         i, j = rng.permutation(m)[:2]
-        bound = feasible_step_bound(z, int(i), int(j))
+        bound = z[j]
         at_bound = exchange_point(z, +1, int(i), int(j), bound)
         assert is_simplex_point(at_bound)
         beyond = z.copy()
@@ -182,8 +187,8 @@ class TestConfigs:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"tau": 0.0},
-            {"tau": 1.5},
+            {"theta": 0.0},
+            {"delta": 0.0},
             {"theta": 1.0},
             {"gamma": 0.0},
             {"delta": 1.0},
@@ -219,9 +224,9 @@ class TestConfigs:
     def test_benchmark_protocol_defaults(self):
         # the acceptance results depend on these; change them deliberately
         inner = DfSimplexConfig()
-        assert (inner.tau, inner.theta, inner.gamma, inner.delta) == (1.0, 0.5, 1e-6, 0.5)
+        assert (inner.theta, inner.gamma, inner.delta) == (0.5, 1e-6, 0.5)
         assert (inner.alpha0, inner.epsilon) == (1.0, 1e-4)
-        assert inner.shuffle_directions is False
+        assert [f.name for f in fields(inner)] == ["theta", "gamma", "delta", "alpha0", "epsilon"]
         outer = OrdConfig()
         assert (outer.eps0, outer.eps_decay, outer.eps_min) == (0.1, 0.85, 1e-4)
         assert (outer.mu0, outer.gamma, outer.theta) == (0.5, 1e-6, 0.5)

@@ -14,21 +14,22 @@ from atomdfo.analysis import kkt_gap
 
 class TestChoosePivot:
     def test_unique_argmax(self):
-        assert choose_pivot(np.array([0.2, 0.5, 0.3]), tau=1.0) == 1
+        assert choose_pivot(np.array([0.2, 0.5, 0.3])) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        assert choose_pivot(np.array([0.5, 0.5]), tau=0.3) == 0
+        assert choose_pivot(np.array([0.5, 0.5])) == 0
 
     def test_vertex(self):
-        assert choose_pivot(np.array([1.0, 0.0, 0.0]), tau=0.5) == 0
-
-    def test_tau_validated(self):
-        with pytest.raises(ValueError):
-            choose_pivot(np.array([1.0]), tau=0.0)
+        assert choose_pivot(np.array([1.0, 0.0, 0.0])) == 0
 
 
 def _linear_phi(c):
     return lambda y: float(np.asarray(c) @ y)
+
+
+def _stops(state):
+    """df_simplex_solve's tolerance stop: nothing accepted from the floor."""
+    return state.entered_at_floor and bool(np.all(state.last_alphas == 0.0))
 
 
 class TestIterate:
@@ -50,7 +51,7 @@ class TestIterate:
         # coordinate 0 (tie-break); the single search flips to move mass onto
         # it and expands to the boundary, giving y1 = (1, 0) and alpha = 0.5.
         # The pivot stepsize is min{old pivot 0.25, updated 0.5} = 0.25.
-        cfg = DfSimplexConfig(tau=1.0, theta=0.5, gamma=1e-6, delta=0.5, epsilon=1e-4)
+        cfg = DfSimplexConfig(theta=0.5, gamma=1e-6, delta=0.5, epsilon=1e-4)
         state = DfSimplexState(
             y=np.array([0.5, 0.5]), f_y=0.5, alpha_hat=np.array([0.25, 0.25])
         )
@@ -64,7 +65,7 @@ class TestIterate:
     def test_hand_trace_continuation_shrinks(self):
         # From the vertex (1, 0) the forward probe increases phi and the
         # backward bound is zero, so the search fails and alpha_hat shrinks.
-        cfg = DfSimplexConfig(tau=1.0, theta=0.5, gamma=1e-6, delta=0.5, epsilon=1e-4)
+        cfg = DfSimplexConfig(theta=0.5, gamma=1e-6, delta=0.5, epsilon=1e-4)
         state = DfSimplexState(
             y=np.array([1.0, 0.0]), f_y=0.0, alpha_hat=np.array([0.25, 0.5])
         )
@@ -140,6 +141,7 @@ class TestSolve:
 
     def test_monotone_and_feasible_all_probes(self):
         rng = np.random.default_rng(3)
+        cfg = DfSimplexConfig(epsilon=1e-3)
         for _ in range(20):
             m = int(rng.integers(2, 7))
             B = rng.normal(size=(m, m))
@@ -151,37 +153,27 @@ class TestSolve:
                 seen.append(y.copy())
                 return float(0.5 * y @ Q @ y + c @ y)
 
-            per_iter_f = []
-            res = df_simplex_solve(
-                phi,
-                rng.dirichlet(np.ones(m)),
-                DfSimplexConfig(epsilon=1e-3),
-                sink=lambda rec: per_iter_f.append(rec.f),
-            )
+            y0 = rng.dirichlet(np.ones(m))
+            state = DfSimplexState(y=y0, f_y=phi(y0), alpha_hat=np.full(m, cfg.alpha0))
+            for _ in range(10_000):
+                nxt = df_simplex_iterate(state, phi, cfg)
+                assert nxt.f_y <= state.f_y + 1e-15
+                state = nxt
+                if _stops(state):
+                    break
+            else:
+                pytest.fail("no tolerance stop within 10000 iterations")
             assert all(is_simplex_point(pt) for pt in seen)
-            assert all(b <= a + 1e-15 for a, b in zip(per_iter_f, per_iter_f[1:]))
-            assert res.stop is StopReason.TOLERANCE
-            assert np.all(res.alpha_hat >= 1e-3)
+            assert np.all(state.alpha_hat >= cfg.epsilon)
 
     def test_floor_invariant_along_the_run(self):
         cfg = DfSimplexConfig(epsilon=1e-2)
-        mins = []
         phi = lambda y: float(np.sum(y**2))
-        df_simplex_solve(
-            phi,
-            np.full(4, 0.25),
-            cfg,
-            sink=lambda rec: mins.append(rec.alpha_hat_min),
-        )
-        assert all(v >= cfg.epsilon for v in mins)
-
-    def test_shuffle_is_seeded_and_deterministic(self):
-        phi = lambda y: float(np.sum((y - np.array([0.1, 0.2, 0.3, 0.4])) ** 2))
-        cfg = DfSimplexConfig(shuffle_directions=True, rng_seed=5)
-        r1 = df_simplex_solve(phi, np.full(4, 0.25), cfg)
-        r2 = df_simplex_solve(phi, np.full(4, 0.25), cfg)
-        assert np.array_equal(r1.y, r2.y)
-        assert r1.evals == r2.evals
+        y0 = np.full(4, 0.25)
+        state = DfSimplexState(y=y0, f_y=phi(y0), alpha_hat=np.full(4, cfg.alpha0))
+        while not _stops(state):
+            state = df_simplex_iterate(state, phi, cfg)
+            assert np.all(state.alpha_hat >= cfg.epsilon)
 
     def test_final_iteration_samples_cover_every_direction(self):
         # at the stopping iteration every non-pivot coordinate got a forward

@@ -6,8 +6,6 @@ from atomdfo.core import (
     BudgetedObjective,
     DropRule,
     OrdConfig,
-    ZERO_TOL,
-    combine,
 )
 from atomdfo.ord import (
     OrdStop,
@@ -24,9 +22,7 @@ class TestRefinePhase:
     def test_no_candidates(self):
         atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
         rng = np.random.default_rng(0)
-        out = refine_phase(
-            lambda x: 0.0, np.zeros(2), 0.0, atoms, [0, 1], 0.5, 1e-6, rng
-        )
+        out = refine_phase(lambda x: 0.0, np.zeros(2), 0.0, atoms, [], 0.5, 1e-6, rng)
         assert not out.found
         assert out.candidates_tried == 0
 
@@ -36,7 +32,7 @@ class TestRefinePhase:
         atoms = AtomSet(np.array([[1.0, 0.0], [0.0, 0.0]]))
         rng = np.random.default_rng(0)
         f = lambda x: float(np.sum(x**2))
-        out = refine_phase(f, np.array([1.0, 0.0]), 1.0, atoms, [0], 0.5, 1e-6, rng)
+        out = refine_phase(f, np.array([1.0, 0.0]), 1.0, atoms, [1], 0.5, 1e-6, rng)
         assert out.found
         assert out.atom_id == 1
         assert out.mu == 0.5
@@ -47,7 +43,7 @@ class TestRefinePhase:
         atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         rng = np.random.default_rng(0)
         f = lambda x: float(np.sum(x**2))
-        out = refine_phase(f, np.zeros(2), 0.0, atoms, [0], 0.5, 1e-6, rng)
+        out = refine_phase(f, np.zeros(2), 0.0, atoms, [1, 2], 0.5, 1e-6, rng)
         assert not out.found
         assert out.candidates_tried == 2
 
@@ -56,7 +52,7 @@ class TestRefinePhase:
         obj = BudgetedObjective(lambda x: float(x[0] ** 2), budget=1)
         rng = np.random.default_rng(0)
         obj(np.zeros(1))
-        out = refine_phase(obj, np.zeros(1), 0.0, atoms, [0], 0.5, 1e-6, rng)
+        out = refine_phase(obj, np.zeros(1), 0.0, atoms, [1, 2], 0.5, 1e-6, rng)
         assert not out.found
         assert out.budget_exhausted
 
@@ -66,7 +62,7 @@ class TestRefinePhase:
         tried = []
         for _ in range(2):
             rng = np.random.default_rng(13)
-            out = refine_phase(f, np.full(2, 100.0), 2e4, atoms, [9], 0.99, 1e-6, rng)
+            out = refine_phase(f, np.full(2, 100.0), 2e4, atoms, range(9), 0.99, 1e-6, rng)
             tried.append(out.atom_id)
         assert tried[0] == tried[1]
 
@@ -204,11 +200,11 @@ class TestReexpressWeights:
         atoms = AtomSet(rng.uniform(0, 10, (6, 3)))
         y = np.array([0.25, 0.75, 0.0])
         ids = [0, 2, 4]
-        x_bar = combine(atoms.subset(ids), y)
+        x_bar = y @ atoms.subset(ids)
         mu = 0.3
         new_ids, w = reexpress_weights(y, ids, (5, mu), {4})
         expected = x_bar + mu * (atoms.atoms[5] - x_bar)
-        assert np.max(np.abs(combine(atoms.subset(new_ids), w) - expected)) <= 1e-10
+        assert np.max(np.abs(w @ atoms.subset(new_ids) - expected)) <= 1e-10
 
 
 class TestOrdSolve:
@@ -271,9 +267,9 @@ class TestOrdSolve:
         for rec in res.trace:
             assert abs(rec.y_bar.sum() - 1.0) <= 1e-12
             assert np.all(rec.y_bar >= 0.0)
-            recombined = combine(atoms.subset(rec.active_ids), rec.y_bar)
+            recombined = rec.y_bar @ atoms.subset(rec.active_ids)
             assert np.max(np.abs(recombined - rec.x_bar)) <= 1e-10
-        final = combine(atoms.subset(res.weights.ids), res.weights.w)
+        final = res.weights.point(atoms)
         assert np.max(np.abs(final - res.x)) <= 1e-10
 
     def test_monotone_objective_and_mu_hat(self):

@@ -8,9 +8,7 @@ from atomdfo.profiles import (
     data_profile,
     first_hit_evals,
     performance_profile,
-    read_records_csv,
     write_curves_csv,
-    write_records_csv,
 )
 
 
@@ -155,35 +153,6 @@ def test_curves_monotone_bounded_and_consistent(seed):
             assert np.all(np.diff(curve) >= 0.0)
         # full-range grids agree on the solved fraction
         assert d[s][-1] == rho[s][-1]
-
-
-def test_csv_round_trip(tmp_path):
-    recs = [
-        record("p1", "s1", 3, hit_at(4, 9)),
-        record("p1", "s2", 3, hit_at(2, 9)),
-    ]
-    path = tmp_path / "runs.csv"
-    write_records_csv(path, recs)
-    back = read_records_csv(path)
-    assert {(r.problem_id, r.solver_id) for r in back} == {("p1", "s1"), ("p1", "s2")}
-    by_solver = {r.solver_id: r for r in back}
-    for r in recs:
-        assert np.array_equal(by_solver[r.solver_id].history, r.history)
-        assert by_solver[r.solver_id].n_p == 3
-
-
-def test_read_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        read_records_csv(path)
-
-
-def test_read_names_the_bad_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("problem_id,solver_id,n_p,eval_index,best_f\np,s,3,1,oops\n")
-    with pytest.raises(ValueError, match="row 2"):
-        read_records_csv(path)
 
 
 def test_write_curves_format(tmp_path):

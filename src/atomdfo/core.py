@@ -185,9 +185,10 @@ class DropRule(Enum):
 class OrdConfig:
     """Parameters of the outer optimize/refine/drop loop.
 
-    The inner-solver tolerance follows eps_k = max(eps_min, eps0 * eps_decay**k).
-    gamma and theta are independent of the inner solver's. The default drop
-    rule filters zero-weight atoms through a simplex-gradient sign test.
+    The inner-solver tolerance follows eps_k = max(eps_min, eps0 * eps_decay**k),
+    so ``inner.epsilon`` must stay at its default. gamma and theta are
+    independent of the inner solver's. The default drop rule filters
+    zero-weight atoms through a simplex-gradient sign test.
     """
 
     # A slow decay beats aggressive tightening under tight budgets: early
@@ -201,7 +202,6 @@ class OrdConfig:
     drop_rule: DropRule = DropRule.GRADIENT_FILTERED
     stop_factor: float = 1e-4
     rng_seed: Optional[int] = None
-    memoize: bool = False
     inner: DfSimplexConfig = field(default_factory=DfSimplexConfig)
 
     def __post_init__(self):
@@ -219,6 +219,9 @@ class OrdConfig:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
         if self.stop_factor <= 0.0:
             raise ValueError(f"stop_factor must be positive, got {self.stop_factor}")
+        if self.inner.epsilon != DfSimplexConfig.epsilon:
+            raise ValueError("inner.epsilon is unused: eps0, eps_decay and eps_min "
+                             "own the inner tolerance")
 
     def eps_at(self, k: int) -> float:
         return max(self.eps_min, self.eps0 * self.eps_decay**k)

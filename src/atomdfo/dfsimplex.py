@@ -40,7 +40,7 @@ class DfSimplexState:
     pivot: int = -1
     # alpha accepted per coordinate during the most recent iteration
     last_alphas: Optional[np.ndarray] = None
-    # probes of the most recent iteration, deduplicated by coordinates
+    # every probe of the most recent iteration in evaluation order, repeats kept
     samples: List[Tuple[np.ndarray, float]] = field(default_factory=list)
     # all alpha_hat were at the epsilon floor when the iteration began
     entered_at_floor: bool = False
@@ -52,21 +52,10 @@ class DfSimplexResult:
     y: np.ndarray
     f: float
     alpha_hat: np.ndarray
+    # every probe of the final iteration in evaluation order, repeats kept
     samples: List[Tuple[np.ndarray, float]]
     iterations: int
-    evals: int
     stop: StopReason
-
-
-def _dedup_samples(samples):
-    seen = set()
-    out = []
-    for point, value in samples:
-        key = point.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append((point, value))
-    return out
 
 
 def df_simplex_iterate(
@@ -124,7 +113,7 @@ def df_simplex_iterate(
         k=state.k + 1,
         pivot=j,
         last_alphas=alphas,
-        samples=_dedup_samples(samples),
+        samples=samples,
         entered_at_floor=entered_at_floor,
         budget_exhausted=exhausted,
     )
@@ -146,16 +135,8 @@ def df_simplex_solve(
         raise ValueError(f"starting point {y0!r} is not in the unit simplex")
     m = len(y0)
 
-    evals = 0
-
-    def phi_counted(point):
-        nonlocal evals
-        value = phi(point)
-        evals += 1
-        return value
-
     if f0 is None:
-        f0 = phi_counted(y0)
+        f0 = phi(y0)
 
     if m == 1:
         # No exchange direction exists; report the stepsize at the floor.
@@ -165,7 +146,6 @@ def df_simplex_solve(
             alpha_hat=np.array([cfg.epsilon]),
             samples=[],
             iterations=0,
-            evals=evals,
             stop=StopReason.TOLERANCE,
         )
 
@@ -177,7 +157,7 @@ def df_simplex_solve(
     )
 
     while True:
-        state = df_simplex_iterate(state, phi_counted, cfg)
+        state = df_simplex_iterate(state, phi, cfg)
         if state.budget_exhausted:
             stop = StopReason.BUDGET
             break
@@ -191,6 +171,5 @@ def df_simplex_solve(
         alpha_hat=state.alpha_hat,
         samples=state.samples,
         iterations=state.k,
-        evals=evals,
         stop=stop,
     )

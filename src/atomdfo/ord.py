@@ -72,12 +72,7 @@ class OrdResult:
     weights: SimplexWeights
     evals: int
     iterations: int
-    trace: List[OrdTraceRecord]
     stop: OrdStop
-
-    @property
-    def active_ids(self) -> tuple:
-        return self.weights.ids
 
 
 def refine_phase(
@@ -113,6 +108,14 @@ def refine_phase(
     return RefineOutcome(None, 0.0, None, f_bar, tried)
 
 
+def _dedup_samples(samples):
+    """The samples with repeated points removed, first occurrence kept."""
+    unique: dict = {}
+    for point, value in samples:
+        unique.setdefault(point.tobytes(), (point, value))
+    return list(unique.values())
+
+
 def simplex_gradient(
     samples: Sequence[Tuple[np.ndarray, float]],
     y_bar: np.ndarray,
@@ -122,13 +125,14 @@ def simplex_gradient(
 ) -> np.ndarray:
     """Least-squares gradient estimate from the final-iteration sample set.
 
-    One extra point y_bar - eps*(sqrt(2)/m)*e is evaluated to make the set
-    poised; it lies outside the simplex, which is fine since the objective is
-    defined on all of R^n. Raises PoisednessFailure when the rows do not span
-    R^m even with the extra point.
+    Repeated sample points count once. One extra point y_bar - eps*(sqrt(2)/m)*e
+    is evaluated to make the set poised; it lies outside the simplex, which is
+    fine since the objective is defined on all of R^n. Raises PoisednessFailure
+    when the rows do not span R^m even with the extra point.
     """
     y_bar = np.asarray(y_bar, dtype=float)
     m = len(y_bar)
+    samples = _dedup_samples(samples)
     extra = y_bar - eps * (np.sqrt(2.0) / m) * np.ones(m)
     f_extra = phi(extra)
     points = [p for p, _ in samples] + [extra]
@@ -218,7 +222,8 @@ def ord_solve(
     the tolerance schedule has bottomed out, at the first iteration where the
     refine test fails and mu_hat has decayed below stop_factor / max distance
     to an inactive atom; with every atom active the run instead ends at the
-    first floor-tolerance iteration that changes nothing.
+    first floor-tolerance iteration that changes nothing. ``sink``, when given,
+    receives one OrdTraceRecord per outer iteration; without it none is built.
     """
     if not (0 <= start_atom_id < atoms.m):
         raise ValueError(f"start atom id {start_atom_id} out of range [0, {atoms.m})")
@@ -232,24 +237,10 @@ def ord_solve(
         evals += 1
         return value
 
-    if cfg.memoize:
-        cache: dict = {}
-
-        def objective(x):
-            # cache hits do not touch the budget or the evaluation count
-            key = x.tobytes()
-            if key not in cache:
-                cache[key] = f_counted(x)
-            return cache[key]
-
-    else:
-        objective = f_counted
-
     active: List[int] = [int(start_atom_id)]
     y = np.array([1.0])
-    f_x = objective(atoms.atoms[start_atom_id].copy())
+    f_x = f_counted(atoms.atoms[start_atom_id].copy())
     mu_hat = cfg.mu0
-    trace: List[OrdTraceRecord] = []
 
     def result(x_out, f_out, ids, w, k, stop):
         # long runs accumulate ~ulp-per-accepted-step drift in the weight sum;
@@ -262,7 +253,6 @@ def ord_solve(
             weights=weights,
             evals=evals,
             iterations=k,
-            trace=trace,
             stop=stop,
         )
 
@@ -270,7 +260,7 @@ def ord_solve(
     while True:
         eps_k = cfg.eps_at(k)
         A_k = atoms.subset(active)
-        phi = lambda yv: objective(yv @ A_k)  # noqa: E731 - rebound every iteration
+        phi = lambda yv: f_counted(yv @ A_k)  # noqa: E731 - rebound every iteration
         inner_cfg = replace(cfg.inner, epsilon=eps_k)
         inner = df_simplex_solve(phi, y, inner_cfg, f0=f_x)
         y_bar, f_bar = inner.y, inner.f
@@ -283,7 +273,7 @@ def ord_solve(
         inactive_mask[active] = False
         inactive = np.flatnonzero(inactive_mask)
         refine = refine_phase(
-            objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
+            f_counted, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
         )
 
         gradient = None
@@ -298,21 +288,12 @@ def ord_solve(
         refine_pair = (refine.atom_id, refine.mu) if refine.found else None
         new_active, y_next = reexpress_weights(y_bar, active, refine_pair, dropped)
 
-        record = OrdTraceRecord(
-            k=k,
-            active_size=len(active),
-            f_bar=float(f_bar),
-            refined=refine.found,
-            dropped=len(dropped),
-            evals=evals,
-            active_ids=tuple(active),
-            x_bar=x_bar,
-            y_bar=y_bar,
-            mu_hat=mu_hat,
-        )
-        trace.append(record)
         if sink is not None:
-            sink(record)
+            sink(OrdTraceRecord(
+                k=k, active_size=len(active), f_bar=float(f_bar), refined=refine.found,
+                dropped=len(dropped), evals=evals, active_ids=tuple(active),
+                x_bar=x_bar, y_bar=y_bar, mu_hat=mu_hat,
+            ))
 
         if refine.found:
             x_next, f_next = refine.x_next, refine.f_next

@@ -173,16 +173,15 @@ def test_criterion_6_identification():
             if grad_star @ (atoms.atoms[i] - x_star) > 1e-3 * scale
         }
         for rule in (DropRule.ZERO_WEIGHT, DropRule.GRADIENT_FILTERED):
-            cfg = OrdConfig(rng_seed=trial, drop_rule=rule, memoize=True)
-            res = ord_solve(f, atoms, cfg, start_atom_id=0)
-            entered = None
-            for rec in res.trace:
-                if entered is None and np.linalg.norm(rec.x_bar - x_star) <= 1e-2:
-                    entered = rec.k
+            cfg = OrdConfig(rng_seed=trial, drop_rule=rule)
+            records = []
+            ord_solve(f, atoms, cfg, start_atom_id=0, sink=records.append)
+            near = (rec.k for rec in records if np.linalg.norm(rec.x_bar - x_star) <= 1e-2)
+            entered = next(near, None)
             if entered is None:
                 entered_all = False
                 continue
-            for rec in res.trace:
+            for rec in records:
                 if rec.k > entered and set(rec.active_ids) & margin_atoms:
                     violations += 1
     report(

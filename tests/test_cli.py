@@ -220,6 +220,8 @@ class TestSuiteConfig:
             {"dfsimplex": {"tau": 0.5}},
             {"dfsimplex": {"shuffle_directions": True}},
             {"ord": {"inner": {"rng_seed": 1}}},
+            {"ord": {"inner": {"epsilon": 0.3}}},
+            {"ord": {"memoize": True}},
         ],
     )
     def test_invalid_manifest_fields(self, tmp_path, overrides):

@@ -209,6 +209,7 @@ class TestConfigs:
             {"mu0": 1.0},
             {"theta": 0.0},
             {"stop_factor": 0.0},
+            {"inner": DfSimplexConfig(epsilon=0.3)},
         ],
     )
     def test_ord_config_ranges(self, kwargs):
@@ -231,5 +232,8 @@ class TestConfigs:
         assert (outer.eps0, outer.eps_decay, outer.eps_min) == (0.1, 0.85, 1e-4)
         assert (outer.mu0, outer.gamma, outer.theta) == (0.5, 1e-6, 0.5)
         assert outer.stop_factor == 1e-4
-        assert outer.memoize is False
         assert outer.drop_rule is DropRule.GRADIENT_FILTERED
+        assert [f.name for f in fields(outer)] == [
+            "eps0", "eps_decay", "eps_min", "mu0", "gamma", "theta",
+            "drop_rule", "stop_factor", "rng_seed", "inner",
+        ]

@@ -136,7 +136,6 @@ class TestSolve:
         phi = lambda y: obj(y)  # noqa: E731 - identity embedding for the test
         res = df_simplex_solve(phi, np.full(4, 0.25), DfSimplexConfig())
         assert res.stop is StopReason.BUDGET
-        assert res.evals <= 7
         assert obj.eval_count == 7
 
     def test_monotone_and_feasible_all_probes(self):
@@ -177,9 +176,9 @@ class TestSolve:
 
     def test_final_iteration_samples_cover_every_direction(self):
         # at the stopping iteration every non-pivot coordinate got a forward
-        # probe, so the cache holds >= m-1 distinct points
+        # probe, so the samples hold >= m-1 distinct points
         phi = lambda y: float(np.sum((y - np.array([0.5, 0.3, 0.2])) ** 2))
         res = df_simplex_solve(phi, np.full(3, 1 / 3), DfSimplexConfig(epsilon=1e-3))
-        assert len(res.samples) >= 2
+        assert len({point.tobytes() for point, _ in res.samples}) >= 2
         for point, value in res.samples:
             assert value == phi(point)

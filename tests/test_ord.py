@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomdfo.core import (
     AtomSet,
     BudgetedObjective,
     DropRule,
     OrdConfig,
+    is_simplex_point,
 )
 from atomdfo.ord import (
     OrdStop,
@@ -102,6 +104,17 @@ class TestSimplexGradient:
         samples = [(point, phi(point)), (point.copy(), phi(point))]
         with pytest.raises(PoisednessFailure):
             simplex_gradient(samples, y_bar, phi(y_bar), 1e-2, phi)
+
+    def test_repeated_sample_counts_once(self):
+        # with more rows than unknowns a repeated row would reweight the
+        # least-squares fit of a non-affine phi; it must not
+        phi = lambda y: float(np.sum(y**3) + y[0] * y[1])
+        y_bar = np.array([0.5, 0.3, 0.2])
+        steps = 0.01 * np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+        samples = [(p, phi(p)) for p in y_bar + steps]
+        g = simplex_gradient(samples, y_bar, phi(y_bar), 1e-2, phi)
+        repeated = samples + [(samples[1][0].copy(), samples[1][1])]
+        assert np.array_equal(simplex_gradient(repeated, y_bar, phi(y_bar), 1e-2, phi), g)
 
     def test_extra_point_costs_one_evaluation(self):
         calls = []
@@ -217,7 +230,7 @@ class TestOrdSolve:
         res = ord_solve(f, atoms, OrdConfig(rng_seed=0), start_atom_id=best)
         assert res.stop is OrdStop.CONVERGED
         assert np.allclose(res.x, atoms.atoms[best])
-        assert res.active_ids == (best,)
+        assert res.weights.ids == (best,)
 
     def test_interior_quadratic_recovered(self):
         # 3 atoms in the plane, target at their centroid: the solver must beat
@@ -226,7 +239,7 @@ class TestOrdSolve:
         c = atoms.atoms.mean(axis=0)
         f = lambda x: float(np.sum((x - c) ** 2))
         for start in range(3):
-            res = ord_solve(f, atoms, OrdConfig(rng_seed=1, memoize=True), start)
+            res = ord_solve(f, atoms, OrdConfig(rng_seed=1), start)
             assert np.linalg.norm(res.x - c) <= 1e-2
             assert res.f <= min(f(a) for a in atoms.atoms)
 
@@ -236,7 +249,7 @@ class TestOrdSolve:
         w = rng.dirichlet(np.ones(8) * 5.0)
         c = w @ atoms.atoms
         f = lambda x: float(np.sum((x - c) ** 2))
-        res = ord_solve(f, atoms, OrdConfig(rng_seed=1, memoize=True), 0)
+        res = ord_solve(f, atoms, OrdConfig(rng_seed=1), 0)
         assert np.linalg.norm(res.x - c) <= 1e-2
         assert res.f <= f(atoms.atoms[0])
 
@@ -246,7 +259,7 @@ class TestOrdSolve:
         res = ord_solve(f, atoms, OrdConfig(rng_seed=0), 0)
         assert res.stop in (OrdStop.CONVERGED, OrdStop.STALLED)
         assert np.array_equal(res.x, [2.0, 3.0])
-        assert res.active_ids == (0,)
+        assert res.weights.ids == (0,)
 
     def test_budget_stop_returns_best_so_far(self):
         rng = np.random.default_rng(9)
@@ -263,8 +276,9 @@ class TestOrdSolve:
         atoms = AtomSet(rng.uniform(0, 10, (12, 3)))
         c = atoms.atoms[:4].mean(axis=0)
         f = lambda x: float(np.sum((x - c) ** 2))
-        res = ord_solve(f, atoms, OrdConfig(rng_seed=2), 0)
-        for rec in res.trace:
+        records = []
+        res = ord_solve(f, atoms, OrdConfig(rng_seed=2), 0, sink=records.append)
+        for rec in records:
             assert abs(rec.y_bar.sum() - 1.0) <= 1e-12
             assert np.all(rec.y_bar >= 0.0)
             recombined = rec.y_bar @ atoms.subset(rec.active_ids)
@@ -278,42 +292,22 @@ class TestOrdSolve:
         c = atoms.atoms[:3].mean(axis=0)
         f = lambda x: float(np.sum((x - c) ** 2))
         cfg = OrdConfig(rng_seed=3)
-        res = ord_solve(f, atoms, cfg, 0)
-        f_bars = [rec.f_bar for rec in res.trace]
+        records = []
+        ord_solve(f, atoms, cfg, 0, sink=records.append)
+        f_bars = [rec.f_bar for rec in records]
         assert all(b <= a + 1e-15 for a, b in zip(f_bars, f_bars[1:]))
-        mu = [rec.mu_hat for rec in res.trace]
+        mu = [rec.mu_hat for rec in records]
         assert all(b <= a for a, b in zip(mu, mu[1:]))
-        for prev, rec in zip(res.trace, res.trace[1:]):
+        for prev, rec in zip(records, records[1:]):
             if prev.refined:
                 assert rec.mu_hat == prev.mu_hat
             else:
                 assert rec.mu_hat == pytest.approx(cfg.theta * prev.mu_hat)
 
-    def test_memoize_skips_repeat_evaluations(self):
-        calls = []
-        atoms = AtomSet(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]))
-
-        def f(x):
-            calls.append(x.copy())
-            return float(np.sum((x - np.array([2.0, 2.0])) ** 2))
-
-        ord_solve(f, atoms, OrdConfig(rng_seed=0, memoize=True), 0)
-        keys = {x.tobytes() for x in calls}
-        assert len(keys) == len(calls)  # no point evaluated twice
-
     def test_start_id_validated(self):
         atoms = AtomSet(np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError):
             ord_solve(lambda x: 0.0, atoms, OrdConfig(), start_atom_id=5)
-
-    def test_sink_receives_every_trace_record(self):
-        rng = np.random.default_rng(14)
-        atoms = AtomSet(rng.uniform(0, 10, (6, 2)))
-        f = lambda x: float(np.sum(x**2))
-        seen = []
-        res = ord_solve(f, atoms, OrdConfig(rng_seed=0), 0, sink=seen.append)
-        assert [rec.k for rec in seen] == [rec.k for rec in res.trace]
-        assert seen[0].evals <= seen[-1].evals
 
 
 def test_l1_ball_recovers_sparse_signal():
@@ -326,7 +320,7 @@ def test_l1_ball_recovers_sparse_signal():
     target = np.zeros(6)
     target[3] = -1.5  # reachable: |t|_1 < radius
     f = lambda x: float(np.sum((x - target) ** 2))
-    res = ord_solve(f, atoms, OrdConfig(rng_seed=0, memoize=True), start_atom_id=0)
+    res = ord_solve(f, atoms, OrdConfig(rng_seed=0), start_atom_id=0)
     assert np.linalg.norm(res.x - target) <= 1e-2
     by_weight = dict(zip(res.weights.ids, res.weights.w))
     # atom 7 is -2*e_4 in the interleaved +/- ordering; exact share is 0.75
@@ -357,18 +351,18 @@ def test_identification_on_face_minimizer(rule):
             if grad_star @ (atoms.atoms[i] - x_star) > 1e-3 * scale
         }
         assert margin_atoms == {3, 4, 5, 6, 7}
-        cfg = OrdConfig(rng_seed=trial, drop_rule=rule, memoize=True)
-        res = ord_solve(f, atoms, cfg, start_atom_id=3)  # start on an upper atom
+        cfg = OrdConfig(rng_seed=trial, drop_rule=rule)
+        records = []
+        # start on an upper atom
+        res = ord_solve(f, atoms, cfg, start_atom_id=3, sink=records.append)
         assert np.linalg.norm(res.x - x_star) <= 1e-2
-        entered = None
-        for rec in res.trace:
-            if entered is None and np.linalg.norm(rec.x_bar - x_star) <= 1e-2:
-                entered = rec.k
+        near = (rec.k for rec in records if np.linalg.norm(rec.x_bar - x_star) <= 1e-2)
+        entered = next(near, None)
         assert entered is not None
-        for rec in res.trace:
+        for rec in records:
             if rec.k > entered:
                 assert not (set(rec.active_ids) & margin_atoms)
-        assert set(res.active_ids) <= {0, 1, 2}
+        assert set(res.weights.ids) <= {0, 1, 2}
 
 
 def _identification_case(seed):
@@ -394,14 +388,52 @@ def test_identification_on_linear_objective(rule):
             if g @ (atoms.atoms[i] - x_star) > 1e-3 * scale
         }
         f = lambda x: float(g @ x)
-        cfg = OrdConfig(rng_seed=seed, drop_rule=rule, memoize=True)
-        res = ord_solve(f, atoms, cfg, start_atom_id=(best + 1) % atoms.m)
-        entered = None
-        for rec in res.trace:
-            if entered is None and np.linalg.norm(rec.x_bar - x_star) <= 1e-2:
-                entered = rec.k
+        cfg = OrdConfig(rng_seed=seed, drop_rule=rule)
+        records = []
+        start = (best + 1) % atoms.m
+        res = ord_solve(f, atoms, cfg, start_atom_id=start, sink=records.append)
+        near = (rec.k for rec in records if np.linalg.norm(rec.x_bar - x_star) <= 1e-2)
+        entered = next(near, None)
         assert entered is not None, "solver never entered the identification ball"
-        for rec in res.trace:
+        for rec in records:
             if rec.k > entered:
                 assert not (set(rec.active_ids) & margin_atoms)
-        assert not (set(res.active_ids) & margin_atoms)
+        assert not (set(res.weights.ids) & margin_atoms)
+
+
+
+@st.composite
+def _ord_problems(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["random", "duplicates", "all_equal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.uniform(-5, 5, (m, n))
+    if kind == "duplicates":
+        atoms = atoms[rng.integers(0, max(1, m // 2), m)]
+    elif kind == "all_equal":
+        atoms = np.repeat(atoms[:1], m, axis=0)
+    # without a budget, ORD on repeated atoms can cycle forever (ROADMAP item 4)
+    budgets = st.integers(1, 60)
+    budget = draw(st.none() | budgets if kind == "random" else budgets)
+    return AtomSet(atoms), rng.uniform(-5, 5, n), budget, draw(st.integers(0, m - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ord_problems(), st.integers(0, 2**16))
+def test_ord_solve_invariants(problem, seed):
+    # the stop reason is left unchecked: equal atoms can end STALLED
+    atoms, c, budget, start = problem
+
+    def run():
+        obj = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2)), budget=budget)
+        records = []
+        res = ord_solve(obj, atoms, OrdConfig(rng_seed=seed), start, sink=records.append)
+        assert res.evals == obj.eval_count <= (budget or res.evals)
+        outcome = (res.x.tobytes(), res.f, res.weights.w.tobytes(), res.weights.ids, res.stop)
+        return res, [(rec.k, rec.evals) for rec in records], outcome
+
+    res, records, outcome = run()
+    assert is_simplex_point(res.weights.w)
+    assert [k for k, _ in records] == list(range(res.iterations))
+    assert all(a[1] <= b[1] for a, b in zip(records, records[1:]))
+    assert run()[1:] == (records, outcome)  # the same seed replays the same run

@@ -10,7 +10,7 @@ from .core import (
     OrdConfig,
     SimplexWeights,
 )
-from .dfsimplex import DfSimplexResult, StopReason, df_simplex_solve
+from .dfsimplex import DfSimplexState, StopReason, df_simplex_solve
 from .linesearch import LineSearchOutcome, line_search
 from .ord import OrdResult, OrdStop, PoisednessFailure, ord_solve
 
@@ -19,7 +19,7 @@ __all__ = [
     "BudgetedObjective",
     "BudgetExhausted",
     "DfSimplexConfig",
-    "DfSimplexResult",
+    "DfSimplexState",
     "DropRule",
     "LineSearchOutcome",
     "NonFiniteValue",

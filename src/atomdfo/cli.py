@@ -177,6 +177,8 @@ def _run_task(task):
 
 
 def cmd_run(manifest_path, out_dir, jobs: int = 1, seeds: Optional[Sequence[int]] = None) -> int:
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
     suite = SuiteConfig.from_json(manifest_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,8 +190,9 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1, seeds: Optional[Sequence[int]
         for seed in run_seeds
         for solver in suite.solvers
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_task, tasks))
     else:
         outcomes = [_run_task(task) for task in tasks]
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a benchmark suite, writing trace CSVs")
     p_run.add_argument("--config", required=True, help="suite manifest (JSON)")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_run.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
     p_run.add_argument(
         "--seed",
         type=int,

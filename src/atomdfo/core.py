@@ -1,6 +1,7 @@
 """Shared domain types: atom sets, simplex points, budgeted objectives, solver configs."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -136,17 +137,13 @@ class BudgetedObjective:
         if self.budget is not None and self.eval_count >= self.budget:
             raise BudgetExhausted(f"budget of {self.budget} evaluations exhausted")
         value = float(self.func(x))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NonFiniteValue(f"objective returned {value} at x={x!r}")
         self.eval_count += 1
         if value < self._best:
             self._best = value
         self.trace.append((self.eval_count, value, self._best))
         return value
-
-    def history(self) -> np.ndarray:
-        """Best-so-far value after each evaluation (non-increasing)."""
-        return np.array([best for (_, _, best) in self.trace])
 
 
 @dataclass(frozen=True)

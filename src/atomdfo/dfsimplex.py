@@ -31,31 +31,16 @@ def choose_pivot(y: np.ndarray) -> int:
 
 @dataclass
 class DfSimplexState:
-    """State threaded through the outer iterations."""
+    """The running state; df_simplex_solve returns the one that stopped."""
 
-    y: np.ndarray
-    f_y: float
-    alpha_hat: np.ndarray
-    k: int = 0
-    pivot: int = -1
-    # alpha accepted per coordinate during the most recent iteration
-    last_alphas: Optional[np.ndarray] = None
-    # every probe of the most recent iteration in evaluation order, repeats kept
-    samples: List[Tuple[np.ndarray, float]] = field(default_factory=list)
-    # all alpha_hat were at the epsilon floor when the iteration began
-    entered_at_floor: bool = False
-    budget_exhausted: bool = False
-
-
-@dataclass
-class DfSimplexResult:
     y: np.ndarray
     f: float
     alpha_hat: np.ndarray
-    # every probe of the final iteration in evaluation order, repeats kept
-    samples: List[Tuple[np.ndarray, float]]
-    iterations: int
-    stop: StopReason
+    iterations: int = 0
+    # every probe of the most recent iteration in evaluation order, repeats kept
+    samples: List[Tuple[np.ndarray, float]] = field(default_factory=list)
+    # set by the iteration that ends the run, None while it goes on
+    stop: Optional[StopReason] = None
 
 
 def df_simplex_iterate(
@@ -65,21 +50,21 @@ def df_simplex_iterate(
 ) -> DfSimplexState:
     """One outer iteration: pivot, sweep of line searches, stepsize updates.
 
-    On budget exhaustion the partially updated state is returned with
-    ``budget_exhausted`` set, so the caller can stop gracefully.
+    ``stop`` is BUDGET when a probe is refused, with the partially updated
+    state returned so the caller can stop gracefully, and TOLERANCE when every
+    stepsize began at the floor and no step was accepted.
     """
     y = state.y
     m = len(y)
     ah = state.alpha_hat
     j = choose_pivot(y)
-    entered_at_floor = bool(np.all(ah == cfg.epsilon))
 
     z = y.copy()
-    f_z = state.f_y
+    f_z = state.f
     new_ah = ah.copy()
-    alphas = np.zeros(m)
     samples: List[Tuple[np.ndarray, float]] = []
-    exhausted = False
+    moved = False
+    stop = None
 
     for i in range(m):
         if i == j:
@@ -87,10 +72,9 @@ def df_simplex_iterate(
         try:
             out = line_search(phi, z, f_z, i, j, float(ah[i]), cfg.gamma, cfg.delta)
         except BudgetExhausted:
-            exhausted = True
+            stop = StopReason.BUDGET
             break
         samples.extend(out.samples)
-        alphas[i] = out.alpha
         if out.alpha > 0.0:
             # Floor the success update too: the feasibility bound can truncate
             # the accepted step below epsilon, and alpha_hat >= epsilon must
@@ -98,24 +82,23 @@ def df_simplex_iterate(
             new_ah[i] = max(out.alpha, cfg.epsilon)
             z = exchange_point(z, out.sign, i, j, out.alpha)
             f_z = out.f_new
+            moved = True
         else:
             new_ah[i] = max(cfg.theta * ah[i], cfg.epsilon)
 
-    if not exhausted:
-        xi = new_ah.copy()
-        xi[j] = ah[j]
-        new_ah[j] = max(float(xi.min()), cfg.epsilon)
+    if stop is None:
+        if not moved and np.all(ah == cfg.epsilon):
+            stop = StopReason.TOLERANCE
+        # min of every updated stepsize and the old pivot one (the sweep skips j)
+        new_ah[j] = max(float(new_ah.min()), cfg.epsilon)
 
     return DfSimplexState(
         y=z,
-        f_y=f_z,
+        f=f_z,
         alpha_hat=new_ah,
-        k=state.k + 1,
-        pivot=j,
-        last_alphas=alphas,
+        iterations=state.iterations + 1,
         samples=samples,
-        entered_at_floor=entered_at_floor,
-        budget_exhausted=exhausted,
+        stop=stop,
     )
 
 
@@ -124,7 +107,7 @@ def df_simplex_solve(
     y0: np.ndarray,
     cfg: DfSimplexConfig,
     f0: Optional[float] = None,
-) -> DfSimplexResult:
+) -> DfSimplexState:
     """Run the direct search from y0 until the tolerance or the budget stops it.
 
     ``f0`` is an optional cached value of phi(y0); when omitted, one
@@ -139,37 +122,20 @@ def df_simplex_solve(
         f0 = phi(y0)
 
     if m == 1:
-        # No exchange direction exists; report the stepsize at the floor.
-        return DfSimplexResult(
+        # No exchange direction exists, and an iteration never brings the
+        # lone stepsize to the floor; report it at the floor instead.
+        return DfSimplexState(
             y=y0,
             f=float(f0),
             alpha_hat=np.array([cfg.epsilon]),
-            samples=[],
-            iterations=0,
             stop=StopReason.TOLERANCE,
         )
 
     state = DfSimplexState(
         y=y0,
-        f_y=float(f0),
+        f=float(f0),
         alpha_hat=np.full(m, float(cfg.alpha0)),
-        k=0,
     )
-
-    while True:
+    while state.stop is None:
         state = df_simplex_iterate(state, phi, cfg)
-        if state.budget_exhausted:
-            stop = StopReason.BUDGET
-            break
-        if state.entered_at_floor and np.all(state.last_alphas == 0.0):
-            stop = StopReason.TOLERANCE
-            break
-
-    return DfSimplexResult(
-        y=state.y,
-        f=state.f_y,
-        alpha_hat=state.alpha_hat,
-        samples=state.samples,
-        iterations=state.k,
-        stop=stop,
-    )
+    return state

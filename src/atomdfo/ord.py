@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     AtomSet,
+    BudgetedObjective,
     BudgetExhausted,
     DropRule,
     OrdConfig,
@@ -40,7 +41,6 @@ class RefineOutcome:
     """Result of one refine sweep over the inactive atoms."""
 
     atom_id: Optional[int]
-    mu: float
     x_next: Optional[np.ndarray]
     f_next: float
     candidates_tried: int
@@ -58,7 +58,7 @@ class OrdTraceRecord:
     f_bar: float
     refined: bool
     dropped: int
-    evals: int
+    evals: int  # the objective's eval_count when the record was built
     active_ids: tuple
     x_bar: np.ndarray
     y_bar: np.ndarray
@@ -70,7 +70,7 @@ class OrdResult:
     x: np.ndarray
     f: float
     weights: SimplexWeights
-    evals: int
+    evals: int  # the objective's eval_count at return
     iterations: int
     stop: OrdStop
 
@@ -92,7 +92,7 @@ def refine_phase(
     permutation is over positions in ``candidates``, so their order matters.
     """
     if len(candidates) == 0:
-        return RefineOutcome(None, 0.0, None, f_bar, 0)
+        return RefineOutcome(None, None, f_bar, 0)
     order = rng.permutation(len(candidates))
     tried = 0
     for idx in order:
@@ -101,11 +101,11 @@ def refine_phase(
         try:
             f_trial = f(trial)
         except BudgetExhausted:
-            return RefineOutcome(None, 0.0, None, f_bar, tried, budget_exhausted=True)
+            return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
         tried += 1
         if f_trial <= f_bar - gamma * mu_hat * mu_hat:
-            return RefineOutcome(atom_id, mu_hat, trial, f_trial, tried)
-    return RefineOutcome(None, 0.0, None, f_bar, tried)
+            return RefineOutcome(atom_id, trial, f_trial, tried)
+    return RefineOutcome(None, None, f_bar, tried)
 
 
 def _dedup_samples(samples):
@@ -224,22 +224,20 @@ def ord_solve(
     to an inactive atom; with every atom active the run instead ends at the
     first floor-tolerance iteration that changes nothing. ``sink``, when given,
     receives one OrdTraceRecord per outer iteration; without it none is built.
+
+    Evaluations are counted by one BudgetedObjective: ``f`` itself when it is
+    one, else a budgetless wrapper around it. Either way a NaN/inf value raises
+    NonFiniteValue, and ``evals`` reports the objective's ``eval_count``,
+    which includes any evaluations it made before this call.
     """
     if not (0 <= start_atom_id < atoms.m):
         raise ValueError(f"start atom id {start_atom_id} out of range [0, {atoms.m})")
     rng = np.random.default_rng(cfg.rng_seed)
-
-    evals = 0
-
-    def f_counted(x):
-        nonlocal evals
-        value = f(x)
-        evals += 1
-        return value
+    objective = f if isinstance(f, BudgetedObjective) else BudgetedObjective(f)
 
     active: List[int] = [int(start_atom_id)]
     y = np.array([1.0])
-    f_x = f_counted(atoms.atoms[start_atom_id].copy())
+    f_x = objective(atoms.atoms[start_atom_id].copy())
     mu_hat = cfg.mu0
 
     def result(x_out, f_out, ids, w, k, stop):
@@ -251,7 +249,7 @@ def ord_solve(
             x=np.asarray(x_out, dtype=float),
             f=float(f_out),
             weights=weights,
-            evals=evals,
+            evals=objective.eval_count,
             iterations=k,
             stop=stop,
         )
@@ -260,7 +258,7 @@ def ord_solve(
     while True:
         eps_k = cfg.eps_at(k)
         A_k = atoms.subset(active)
-        phi = lambda yv: f_counted(yv @ A_k)  # noqa: E731 - rebound every iteration
+        phi = lambda yv: objective(yv @ A_k)  # noqa: E731 - rebound every iteration
         inner_cfg = replace(cfg.inner, epsilon=eps_k)
         inner = df_simplex_solve(phi, y, inner_cfg, f0=f_x)
         y_bar, f_bar = inner.y, inner.f
@@ -273,7 +271,7 @@ def ord_solve(
         inactive_mask[active] = False
         inactive = np.flatnonzero(inactive_mask)
         refine = refine_phase(
-            f_counted, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
+            objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
         )
 
         gradient = None
@@ -285,13 +283,13 @@ def ord_solve(
         rule = DropRule.ZERO_WEIGHT if gradient is None else cfg.drop_rule
         dropped = drop_phase(active, y_bar, rule, gradient)
 
-        refine_pair = (refine.atom_id, refine.mu) if refine.found else None
+        refine_pair = (refine.atom_id, mu_hat) if refine.found else None
         new_active, y_next = reexpress_weights(y_bar, active, refine_pair, dropped)
 
         if sink is not None:
             sink(OrdTraceRecord(
                 k=k, active_size=len(active), f_bar=float(f_bar), refined=refine.found,
-                dropped=len(dropped), evals=evals, active_ids=tuple(active),
+                dropped=len(dropped), evals=objective.eval_count, active_ids=tuple(active),
                 x_bar=x_bar, y_bar=y_bar, mu_hat=mu_hat,
             ))
 

@@ -1,27 +1,24 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines alongside pytest's own verdicts. The benchmark-backed criteria share a
-module-scoped cache of solver runs so the whole module stays fast.
+lines alongside pytest's own verdicts. The benchmark-backed criteria share
+one module-scoped pair of `atomdfo run` suites so the whole module stays fast.
 """
+import csv
+import json
+import os
+
 import numpy as np
 import pytest
 
-from atomdfo import bench, profiles
+from atomdfo import bench, cli, profiles
 from atomdfo.analysis import (
     check_cone_measure,
     check_linesearch_oracle,
     check_simplex_gradient_affine,
     kkt_gap,
 )
-from atomdfo.core import (
-    AtomSet,
-    BudgetedObjective,
-    DfSimplexConfig,
-    DropRule,
-    OrdConfig,
-    ZERO_TOL,
-)
+from atomdfo.core import AtomSet, DfSimplexConfig, DropRule, OrdConfig
 from atomdfo.dfsimplex import df_simplex_solve
 from atomdfo.ord import ord_solve
 
@@ -36,41 +33,32 @@ def report(name, passed, detail):
     assert passed, line
 
 
-def _run_ord(name, m, seed):
-    problem = bench.make_problem(name, N, m, seed)
-    func = bench.make_test_function(name, N)
-    objective = BudgetedObjective(func.value, budget=problem.budget)
-    result = ord_solve(objective, problem.atoms, OrdConfig(rng_seed=seed), problem.start_id)
-    weights = np.zeros(m)
-    weights[list(result.weights.ids)] = result.weights.w
-    sparsity = float(np.mean(weights <= ZERO_TOL))
-    return objective.history(), sparsity
-
-
-def _run_dfsimplex(name, m, seed):
-    problem = bench.make_problem(name, N, m, seed)
-    func = bench.make_test_function(name, N)
-    objective = BudgetedObjective(func.value, budget=problem.budget)
-    y0 = np.zeros(m)
-    y0[problem.start_id] = 1.0
-    phi = lambda yv: objective(yv @ problem.atoms.atoms)  # noqa: E731
-    df_simplex_solve(phi, y0, DfSimplexConfig())
-    return objective.history()
+def _run_suite(tmp, solver, ms):
+    """`atomdfo run` over the full catalog: (history, sparsity) by (name, m, seed)."""
+    manifest = tmp / f"{solver}.json"
+    manifest.write_text(json.dumps({
+        "pairs": [[N, m] for m in ms], "seeds": list(SEEDS), "solvers": [solver],
+    }))
+    out = tmp / solver
+    assert cli.cmd_run(manifest, out, jobs=os.cpu_count()) == 0
+    histories = {rec.problem_id: rec.history for rec in cli.load_run_records(out)}
+    with open(out / "summary.csv", newline="") as fh:
+        sparsity = {row["problem"]: float(row["sparsity"]) for row in csv.DictReader(fh)}
+    runs = {}
+    for m in ms:
+        for seed in SEEDS:
+            for name in bench.FUNCTION_NAMES:
+                pid = f"{name}_n{N}_m{m}_seed{seed}"
+                runs[(name, m, seed)] = (histories[pid], sparsity[pid])
+    return runs
 
 
 @pytest.fixture(scope="module")
-def suite_runs():
+def suite_runs(tmp_path_factory):
     """ORD runs over the m grid plus DF-SIMPLEX runs at m=200, 3 seeds each."""
-    ord_runs = {}
-    for m in M_GRID:
-        for seed in SEEDS:
-            for name in bench.FUNCTION_NAMES:
-                ord_runs[(name, m, seed)] = _run_ord(name, m, seed)
-    df_runs = {
-        (name, 200, seed): _run_dfsimplex(name, 200, seed)
-        for seed in SEEDS
-        for name in bench.FUNCTION_NAMES
-    }
+    tmp = tmp_path_factory.mktemp("acceptance")
+    ord_runs = _run_suite(tmp, "ord", M_GRID)
+    df_runs = {key: hist for key, (hist, _) in _run_suite(tmp, "dfsimplex", (200,)).items()}
     return ord_runs, df_runs
 
 

@@ -116,6 +116,36 @@ class TestRun:
         for name in sorted(p.name for p in seq.iterdir() if p.name != "summary.csv"):
             assert (seq / name).read_bytes() == (par / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, jobs):
+        manifest = write_manifest(tmp_path / "suite.json")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(manifest), "--out", str(out), "--jobs", jobs]) == 2
+        assert not out.exists()
+
+    def test_worker_count_capped_at_run_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        manifest = write_manifest(tmp_path / "suite.json")  # 2 functions x 1 seed
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(manifest), "--out", str(out), "--jobs", "8"]) == 0
+        assert started == [2]
+        assert len(read_summary(out)) == 2
+
     def test_run_failure_recorded_per_row(self, tmp_path, monkeypatch, capsys):
         calls = {"n": 0}
         original = cli.run_one

@@ -27,11 +27,6 @@ def _linear_phi(c):
     return lambda y: float(np.asarray(c) @ y)
 
 
-def _stops(state):
-    """df_simplex_solve's tolerance stop: nothing accepted from the floor."""
-    return state.entered_at_floor and bool(np.all(state.last_alphas == 0.0))
-
-
 class TestIterate:
     def test_singleton_simplex_is_a_no_op(self):
         calls = []
@@ -40,11 +35,12 @@ class TestIterate:
             calls.append(1)
             return 0.0
 
-        state = DfSimplexState(y=np.array([1.0]), f_y=0.0, alpha_hat=np.array([1.0]))
+        state = DfSimplexState(y=np.array([1.0]), f=0.0, alpha_hat=np.array([1.0]))
         nxt = df_simplex_iterate(state, phi, DfSimplexConfig())
         assert calls == []
         assert np.array_equal(nxt.y, [1.0])
         assert np.array_equal(nxt.alpha_hat, [1.0])
+        assert nxt.stop is None
 
     def test_hand_trace_linear_objective(self):
         # phi(y) = y_2, y0 = (0.5, 0.5), alpha_hat = (0.25, 0.25): the pivot is
@@ -53,36 +49,47 @@ class TestIterate:
         # The pivot stepsize is min{old pivot 0.25, updated 0.5} = 0.25.
         cfg = DfSimplexConfig(theta=0.5, gamma=1e-6, delta=0.5, epsilon=1e-4)
         state = DfSimplexState(
-            y=np.array([0.5, 0.5]), f_y=0.5, alpha_hat=np.array([0.25, 0.25])
+            y=np.array([0.5, 0.5]), f=0.5, alpha_hat=np.array([0.25, 0.25])
         )
         nxt = df_simplex_iterate(state, _linear_phi([0.0, 1.0]), cfg)
-        assert nxt.pivot == 0
         assert np.array_equal(nxt.y, [1.0, 0.0])
-        assert nxt.f_y == 0.0
-        assert np.array_equal(nxt.last_alphas, [0.0, 0.5])
+        assert nxt.f == 0.0
         assert np.array_equal(nxt.alpha_hat, [0.25, 0.5])
+        assert nxt.iterations == 1
+        assert nxt.stop is None
 
     def test_hand_trace_continuation_shrinks(self):
         # From the vertex (1, 0) the forward probe increases phi and the
         # backward bound is zero, so the search fails and alpha_hat shrinks.
         cfg = DfSimplexConfig(theta=0.5, gamma=1e-6, delta=0.5, epsilon=1e-4)
         state = DfSimplexState(
-            y=np.array([1.0, 0.0]), f_y=0.0, alpha_hat=np.array([0.25, 0.5])
+            y=np.array([1.0, 0.0]), f=0.0, alpha_hat=np.array([0.25, 0.5])
         )
         nxt = df_simplex_iterate(state, _linear_phi([0.0, 1.0]), cfg)
-        assert nxt.pivot == 0
         assert np.array_equal(nxt.y, [1.0, 0.0])
-        assert nxt.last_alphas[1] == 0.0
         assert nxt.alpha_hat[1] == 0.25  # theta * 0.5
         assert nxt.alpha_hat[0] == 0.25  # min{old pivot 0.25, 0.25}
 
     def test_budget_exhaustion_flags_state(self):
         obj = BudgetedObjective(lambda y: float(y[1]), budget=1)
         state = DfSimplexState(
-            y=np.array([0.5, 0.5]), f_y=0.5, alpha_hat=np.array([0.25, 0.25])
+            y=np.array([0.5, 0.5]), f=0.5, alpha_hat=np.array([0.25, 0.25])
         )
         nxt = df_simplex_iterate(state, obj, DfSimplexConfig())
-        assert nxt.budget_exhausted
+        assert nxt.stop is StopReason.BUDGET
+
+    def test_tolerance_stop_only_from_the_floor(self):
+        # At the best vertex of a linear phi no step is accepted; the
+        # iteration stops the run only when every stepsize began at the floor.
+        cfg = DfSimplexConfig(epsilon=1e-3)
+        phi = _linear_phi([0.0, 1.0, 2.0])
+        y = np.array([1.0, 0.0, 0.0])
+        at_floor = DfSimplexState(y=y, f=0.0, alpha_hat=np.full(3, cfg.epsilon))
+        nxt = df_simplex_iterate(at_floor, phi, cfg)
+        assert np.array_equal(nxt.y, y)
+        assert nxt.stop is StopReason.TOLERANCE
+        above = DfSimplexState(y=y, f=0.0, alpha_hat=np.array([cfg.epsilon, 0.5, cfg.epsilon]))
+        assert df_simplex_iterate(above, phi, cfg).stop is None
 
 
 class TestSolve:
@@ -153,12 +160,12 @@ class TestSolve:
                 return float(0.5 * y @ Q @ y + c @ y)
 
             y0 = rng.dirichlet(np.ones(m))
-            state = DfSimplexState(y=y0, f_y=phi(y0), alpha_hat=np.full(m, cfg.alpha0))
+            state = DfSimplexState(y=y0, f=phi(y0), alpha_hat=np.full(m, cfg.alpha0))
             for _ in range(10_000):
                 nxt = df_simplex_iterate(state, phi, cfg)
-                assert nxt.f_y <= state.f_y + 1e-15
+                assert nxt.f <= state.f + 1e-15
                 state = nxt
-                if _stops(state):
+                if state.stop is not None:
                     break
             else:
                 pytest.fail("no tolerance stop within 10000 iterations")
@@ -169,8 +176,8 @@ class TestSolve:
         cfg = DfSimplexConfig(epsilon=1e-2)
         phi = lambda y: float(np.sum(y**2))
         y0 = np.full(4, 0.25)
-        state = DfSimplexState(y=y0, f_y=phi(y0), alpha_hat=np.full(4, cfg.alpha0))
-        while not _stops(state):
+        state = DfSimplexState(y=y0, f=phi(y0), alpha_hat=np.full(4, cfg.alpha0))
+        while state.stop is None:
             state = df_simplex_iterate(state, phi, cfg)
             assert np.all(state.alpha_hat >= cfg.epsilon)
 

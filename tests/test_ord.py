@@ -6,6 +6,7 @@ from atomdfo.core import (
     AtomSet,
     BudgetedObjective,
     DropRule,
+    NonFiniteValue,
     OrdConfig,
     is_simplex_point,
 )
@@ -37,7 +38,6 @@ class TestRefinePhase:
         out = refine_phase(f, np.array([1.0, 0.0]), 1.0, atoms, [1], 0.5, 1e-6, rng)
         assert out.found
         assert out.atom_id == 1
-        assert out.mu == 0.5
         assert np.allclose(out.x_next, [0.5, 0.0])
         assert out.f_next == 0.25
 
@@ -303,6 +303,19 @@ class TestOrdSolve:
                 assert rec.mu_hat == prev.mu_hat
             else:
                 assert rec.mu_hat == pytest.approx(cfg.theta * prev.mu_hat)
+
+    def test_plain_callable_nan_raises(self):
+        # NaN off the square [1, 2]^2: the simplex-gradient poisedness point
+        # leaves it, and a plain callable is counted by a BudgetedObjective too
+        atoms = AtomSet(np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [2.0, 2.0]]))
+
+        def f(x):
+            if np.any(x < 1.0) or np.any(x > 2.0):
+                return float("nan")
+            return float(np.sum((x - 1.3) ** 2))
+
+        with pytest.raises(NonFiniteValue):
+            ord_solve(f, atoms, OrdConfig(rng_seed=0), 0)
 
     def test_start_id_validated(self):
         atoms = AtomSet(np.array([[0.0], [1.0]]))

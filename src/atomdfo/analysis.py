@@ -12,7 +12,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .core import AtomSet, DfSimplexConfig, ZERO_TOL
+from .core import DfSimplexConfig, ZERO_TOL
 from .dfsimplex import df_simplex_solve
 from .linesearch import line_search
 
@@ -21,20 +21,6 @@ CONE_ORACLE_CAP = 12
 
 class CapExceeded(Exception):
     """The subset-enumeration oracle was asked for more coordinates than it supports."""
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """Tangent cone of the unit simplex at y: {v : sum(v) = 0, v_i >= 0 for i in Z}."""
-
-    y: np.ndarray
-    zero_set: tuple
-
-    @classmethod
-    def at(cls, y: np.ndarray) -> "ConeSpec":
-        y = np.asarray(y, dtype=float)
-        zeros = tuple(int(i) for i in np.flatnonzero(y <= ZERO_TOL))
-        return cls(y=y, zero_set=zeros)
 
 
 def kkt_gap(g: np.ndarray, y: np.ndarray) -> float:
@@ -47,21 +33,23 @@ def kkt_gap(g: np.ndarray, y: np.ndarray) -> float:
     return float(g @ np.asarray(y, dtype=float) - g.min())
 
 
-def tangent_cone_project(v: np.ndarray, cone: ConeSpec) -> np.ndarray:
-    """Euclidean projection of v onto the tangent cone, by active-set enumeration.
+def tangent_cone_project(v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean projection of v onto the tangent cone of the simplex at y.
 
-    Every subset of the zero set is tried as the pinned (equality) set; each
+    The cone is {u : sum(u) = 0, u_i >= 0 for i in Z}, Z the zero set of y.
+    Every subset of Z is tried as the pinned (equality) set; each
     candidate is the closed-form least-squares point on the corresponding
     affine subset, and the feasible candidate of minimum distance is the exact
     projection. Exponential in |Z|, hence the cap.
     """
     v = np.asarray(v, dtype=float)
+    y = np.asarray(y, dtype=float)
     m = len(v)
-    if m != len(cone.y):
+    if m != len(y):
         raise ValueError("vector and cone dimensions differ")
     if m > CONE_ORACLE_CAP:
         raise CapExceeded(f"oracle supports up to {CONE_ORACLE_CAP} coordinates, got {m}")
-    zeros = cone.zero_set
+    zeros = [int(i) for i in np.flatnonzero(y <= ZERO_TOL)]
     best = None
     best_d2 = np.inf
     for bits in range(1 << len(zeros)):
@@ -106,14 +94,6 @@ def direction_vector(sign: int, i: int, j: int, m: int) -> np.ndarray:
     d[i] = float(sign)
     d[j] = -float(sign)
     return d
-
-
-def stationarity_gap_hull(grad_f: np.ndarray, atoms, x: np.ndarray) -> float:
-    """max over atoms of -grad_f^T (a - x); zero iff x is stationary on the hull."""
-    A = atoms.atoms if isinstance(atoms, AtomSet) else np.asarray(atoms, dtype=float)
-    grad_f = np.asarray(grad_f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return float(np.max((x - A) @ grad_f))
 
 
 def reference_line_search(
@@ -194,7 +174,7 @@ def _random_quadratic(rng: np.random.Generator, m: int, scale: float = 1.0):
 def check_cone_measure(
     trials: int,
     rng: np.random.Generator,
-    project: Callable[[np.ndarray, ConeSpec], np.ndarray] = tangent_cone_project,
+    project: Callable[[np.ndarray, np.ndarray], np.ndarray] = tangent_cone_project,
 ) -> PropertyReport:
     """max_{d in D} v^T d >= ||v_T|| / (2(m-1)) on faces with >= 2 positive weights.
 
@@ -210,7 +190,7 @@ def check_cone_measure(
         j = int(np.argmax(y))
         dirs = feasible_direction_set(y, j)
         v = rng.normal(size=m)
-        v_t = project(v, ConeSpec.at(y))
+        v_t = project(v, y)
         lhs = max(sign * (v[i] - v[jj]) for sign, i, jj in dirs)
         rhs = float(np.linalg.norm(v_t)) / (2.0 * (m - 1))
         worst = min(worst, lhs - rhs)
@@ -220,7 +200,7 @@ def check_cone_measure(
 def check_cone_polarity(
     trials: int,
     rng: np.random.Generator,
-    project: Callable[[np.ndarray, ConeSpec], np.ndarray] = tangent_cone_project,
+    project: Callable[[np.ndarray, np.ndarray], np.ndarray] = tangent_cone_project,
 ) -> PropertyReport:
     """Whenever v_T = 0 (v in the normal cone), no feasible direction ascends on v.
 
@@ -235,7 +215,7 @@ def check_cone_polarity(
         j = int(np.argmax(y))
         dirs = feasible_direction_set(y, j)
         v = rng.normal(size=m)
-        v_t = project(v, ConeSpec.at(y))
+        v_t = project(v, y)
         if np.linalg.norm(v_t) > 1e-12:
             continue
         worst = min(worst, -max(sign * (v[i] - v[jj]) for sign, i, jj in dirs))
@@ -256,7 +236,7 @@ def check_generator_property(trials: int, rng: np.random.Generator) -> PropertyR
         j = int(np.argmax(y))
         dirs = feasible_direction_set(y, j)
         v = rng.normal(size=m)
-        v_t = tangent_cone_project(v, ConeSpec.at(y))
+        v_t = tangent_cone_project(v, y)
         D = np.column_stack([direction_vector(s, i, jj, m) for s, i, jj in dirs])
         _, residual = nnls(D, v_t)
         worst = max(worst, residual)
@@ -266,7 +246,7 @@ def check_generator_property(trials: int, rng: np.random.Generator) -> PropertyR
 def check_polar_decomposition(
     trials: int,
     rng: np.random.Generator,
-    project: Callable[[np.ndarray, ConeSpec], np.ndarray] = tangent_cone_project,
+    project: Callable[[np.ndarray, np.ndarray], np.ndarray] = tangent_cone_project,
 ) -> PropertyReport:
     """v = v_T + v_N with v_T orthogonal to v_N and v_N polar to every direction."""
     worst = np.inf
@@ -276,7 +256,7 @@ def check_polar_decomposition(
         y = random_simplex_point(rng, m, n_zeros)
         j = int(np.argmax(y))
         v = rng.normal(size=m)
-        v_t = project(v, ConeSpec.at(y))
+        v_t = project(v, y)
         v_n = v - v_t
         orth = abs(float(v_t @ v_n))
         polar = max(
@@ -298,7 +278,7 @@ def check_kkt_upper_bound(
         n_zeros = int(rng.integers(0, m))
         y = random_simplex_point(rng, m, n_zeros)
         g = rng.normal(size=m)
-        v_t = tangent_cone_project(-g, ConeSpec.at(y))
+        v_t = tangent_cone_project(-g, y)
         bound = np.sqrt(2.0) * float(np.linalg.norm(v_t))
         worst = min(worst, bound - gap(g, y))
     return PropertyReport("kkt-upper-bound", trials, worst, worst >= -1e-10)

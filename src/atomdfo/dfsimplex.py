@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import BudgetExhausted, DfSimplexConfig, exchange_point, is_simplex_point
+from .core import BudgetExhausted, DfSimplexConfig, is_simplex_point
 from .linesearch import line_search
 
 
@@ -51,8 +51,9 @@ def df_simplex_iterate(
     """One outer iteration: pivot, sweep of line searches, stepsize updates.
 
     ``stop`` is BUDGET when a probe is refused, with the partially updated
-    state returned so the caller can stop gracefully, and TOLERANCE when every
-    stepsize began at the floor and no step was accepted.
+    state returned so the caller can stop gracefully, and TOLERANCE when no
+    step was accepted and every stepsize began at the floor, or there is no
+    exchange direction at all (m == 1).
     """
     y = state.y
     m = len(y)
@@ -80,14 +81,13 @@ def df_simplex_iterate(
             # the accepted step below epsilon, and alpha_hat >= epsilon must
             # hold at all times for the stopping condition to stay reachable.
             new_ah[i] = max(out.alpha, cfg.epsilon)
-            z = exchange_point(z, out.sign, i, j, out.alpha)
-            f_z = out.f_new
+            z, f_z = out.z, out.f_new
             moved = True
         else:
             new_ah[i] = max(cfg.theta * ah[i], cfg.epsilon)
 
     if stop is None:
-        if not moved and np.all(ah == cfg.epsilon):
+        if not moved and (m == 1 or np.all(ah == cfg.epsilon)):
             stop = StopReason.TOLERANCE
         # min of every updated stepsize and the old pivot one (the sweep skips j)
         new_ah[j] = max(float(new_ah.min()), cfg.epsilon)
@@ -116,25 +116,13 @@ def df_simplex_solve(
     y0 = np.asarray(y0, dtype=float).copy()
     if not is_simplex_point(y0):
         raise ValueError(f"starting point {y0!r} is not in the unit simplex")
-    m = len(y0)
-
     if f0 is None:
         f0 = phi(y0)
-
-    if m == 1:
-        # No exchange direction exists, and an iteration never brings the
-        # lone stepsize to the floor; report it at the floor instead.
-        return DfSimplexState(
-            y=y0,
-            f=float(f0),
-            alpha_hat=np.array([cfg.epsilon]),
-            stop=StopReason.TOLERANCE,
-        )
 
     state = DfSimplexState(
         y=y0,
         f=float(f0),
-        alpha_hat=np.full(m, float(cfg.alpha0)),
+        alpha_hat=np.full(len(y0), float(cfg.alpha0)),
     )
     while state.stop is None:
         state = df_simplex_iterate(state, phi, cfg)

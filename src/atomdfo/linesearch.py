@@ -21,14 +21,16 @@ class LineSearchOutcome:
 
     ``sign`` records whether the direction was kept (+1) or flipped (-1);
     a failed search returns alpha == 0 with sign == +1 by convention and the
-    caller ignores the direction. ``f_new`` is the objective value at the
-    accepted point (the caller's cached value when alpha == 0). ``samples``
-    holds every point actually evaluated, feasible by construction.
+    caller ignores the direction. ``f_new`` and ``z`` are the objective value
+    and the point the accepted probe evaluated (the caller's cached value and
+    its own z when alpha == 0). ``samples`` holds every point actually
+    evaluated, feasible by construction.
     """
 
     alpha: float
     sign: int
     f_new: float
+    z: np.ndarray
     samples: List[Tuple[np.ndarray, float]] = field(default_factory=list)
 
 
@@ -44,6 +46,7 @@ def line_search(
 ) -> LineSearchOutcome:
     """Search along d = e_i - e_j and its reverse from z, where phi(z) = f_z.
 
+    The reverse is probed only when the forward step is zero or fails.
     phi(z) is never re-evaluated here: each probe costs exactly one
     evaluation, and a :class:`~atomdfo.core.BudgetExhausted` raised by ``phi``
     propagates to the caller.
@@ -52,45 +55,27 @@ def line_search(
         raise ValueError(f"alpha_hat must be positive, got {alpha_hat}")
     samples: List[Tuple[np.ndarray, float]] = []
 
-    def probe(sign: int, step: float) -> float:
+    def probe(sign: int, step: float):
         point = exchange_point(z, sign, i, j, step)
         value = phi(point)
         samples.append((point, value))
-        return value
+        return point, value, value <= f_z - gamma * step * step
 
-    sign = 0
-    bound = 0.0
-    alpha = 0.0
-    f_acc = f_z
-
-    # Forward probe: the bound along +(e_i - e_j) is z_j.
-    fwd_bound = float(z[j])
-    step = min(fwd_bound, alpha_hat)
-    if step > 0.0:
-        value = probe(+1, step)
-        if value <= f_z - gamma * step * step:
-            sign, bound, alpha, f_acc = +1, fwd_bound, step, value
-
-    # Backward probe: the bound along -(e_i - e_j) is z_i.
-    if sign == 0:
-        bwd_bound = float(z[i])
-        step = min(bwd_bound, alpha_hat)
-        if step > 0.0:
-            value = probe(-1, step)
-            if value <= f_z - gamma * step * step:
-                sign, bound, alpha, f_acc = -1, bwd_bound, step, value
-
-    if sign == 0:
-        return LineSearchOutcome(0.0, +1, f_z, samples)
-
-    # Expansion: grow alpha by 1/delta while the sufficient decrease holds,
-    # never past the feasibility bound.
-    beta = min(bound, alpha / delta)
-    while alpha < bound:
-        value = probe(sign, beta)
-        if value <= f_z - gamma * beta * beta:
-            alpha, f_acc = beta, value
+    # The feasibility bound is z_j along +(e_i - e_j) and z_i along its reverse.
+    for sign, bound in ((+1, float(z[j])), (-1, float(z[i]))):
+        alpha = min(bound, alpha_hat)
+        if alpha <= 0.0:
+            continue
+        z_new, f_new, accepted = probe(sign, alpha)
+        if not accepted:
+            continue
+        # Expansion: grow alpha by 1/delta while the sufficient decrease holds,
+        # never past the feasibility bound.
+        while alpha < bound:
             beta = min(bound, alpha / delta)
-        else:
-            break
-    return LineSearchOutcome(alpha, sign, f_acc, samples)
+            z_beta, f_beta, accepted = probe(sign, beta)
+            if not accepted:
+                break
+            alpha, z_new, f_new = beta, z_beta, f_beta
+        return LineSearchOutcome(alpha, sign, f_new, z_new, samples)
+    return LineSearchOutcome(0.0, +1, f_z, z, samples)

@@ -149,28 +149,21 @@ def simplex_gradient(
 def drop_phase(
     active_ids: Sequence[int],
     y_bar: np.ndarray,
-    rule: DropRule,
     g: Optional[np.ndarray] = None,
 ) -> Set[int]:
-    """Atom ids to remove: zero-weight atoms, optionally gradient-filtered.
+    """Atom ids to remove: zero-weight atoms, filtered by g when it is given.
 
-    The filtered rule keeps a zero-weight atom h when g^T (e_h - y_bar) < 0,
-    i.e. when the gradient estimate still points at it as a descent candidate.
-    Atoms with positive weight are never dropped.
+    With a gradient estimate g, a zero-weight atom h is kept when
+    g^T (e_h - y_bar) < 0, i.e. when the estimate still points at it as a
+    descent candidate. Atoms with positive weight are never dropped.
     """
     y_bar = np.asarray(y_bar, dtype=float)
-    zero_positions = [h for h in range(len(y_bar)) if y_bar[h] <= ZERO_TOL]
-    if rule is DropRule.ZERO_WEIGHT:
-        to_drop = zero_positions
-    elif rule is DropRule.GRADIENT_FILTERED:
-        if g is None:
-            raise ValueError("gradient-filtered drop needs a gradient estimate")
+    to_drop = [h for h in range(len(y_bar)) if y_bar[h] <= ZERO_TOL]
+    if g is not None:
         g = np.asarray(g, dtype=float)
         if len(g) != len(y_bar):
             raise ValueError("gradient length does not match the weight vector")
-        to_drop = [h for h in zero_positions if g[h] - g @ y_bar >= 0.0]
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown drop rule {rule!r}")
+        to_drop = [h for h in to_drop if g[h] - g @ y_bar >= 0.0]
     return {int(active_ids[h]) for h in to_drop}
 
 
@@ -274,14 +267,13 @@ def ord_solve(
             objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
         )
 
-        gradient = None
+        gradient = None  # None drops by the plain zero-weight rule
         if cfg.drop_rule is DropRule.GRADIENT_FILTERED:
             try:
                 gradient = simplex_gradient(inner.samples, y_bar, f_bar, eps_k, phi)
             except (PoisednessFailure, BudgetExhausted):
-                gradient = None  # fall back to the plain zero-weight rule
-        rule = DropRule.ZERO_WEIGHT if gradient is None else cfg.drop_rule
-        dropped = drop_phase(active, y_bar, rule, gradient)
+                pass
+        dropped = drop_phase(active, y_bar, gradient)
 
         refine_pair = (refine.atom_id, mu_hat) if refine.found else None
         new_active, y_next = reexpress_weights(y_bar, active, refine_pair, dropped)

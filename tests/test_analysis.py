@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from atomdfo.analysis import (
     CapExceeded,
-    ConeSpec,
     check_cone_measure,
     check_cone_polarity,
     check_generator_property,
@@ -18,10 +17,9 @@ from atomdfo.analysis import (
     kkt_gap,
     random_simplex_point,
     run_property_suite,
-    stationarity_gap_hull,
     tangent_cone_project,
 )
-from atomdfo.core import AtomSet
+from atomdfo.core import ZERO_TOL
 
 
 class TestKktGap:
@@ -49,25 +47,25 @@ class TestKktGap:
 class TestTangentConeProject:
     def test_interior_sum_zero_vector_unchanged(self):
         v = np.array([1.0, -1.0])
-        got = tangent_cone_project(v, ConeSpec.at(np.array([0.5, 0.5])))
+        got = tangent_cone_project(v, np.array([0.5, 0.5]))
         assert np.allclose(got, v, atol=1e-15)
 
     def test_interior_all_ones_projects_to_zero(self):
-        got = tangent_cone_project(np.array([1.0, 1.0]), ConeSpec.at(np.array([0.5, 0.5])))
+        got = tangent_cone_project(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
         assert np.allclose(got, [0.0, 0.0], atol=1e-15)
 
     def test_vertex_normal_cone_vector_projects_to_zero(self):
-        got = tangent_cone_project(np.array([1.0, -1.0]), ConeSpec.at(np.array([1.0, 0.0])))
+        got = tangent_cone_project(np.array([1.0, -1.0]), np.array([1.0, 0.0]))
         assert np.allclose(got, [0.0, 0.0], atol=1e-15)
 
     def test_cap(self):
         y = np.full(13, 1.0 / 13.0)
         with pytest.raises(CapExceeded):
-            tangent_cone_project(np.ones(13), ConeSpec.at(y))
+            tangent_cone_project(np.ones(13), y)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            tangent_cone_project(np.ones(3), ConeSpec.at(np.array([0.5, 0.5])))
+            tangent_cone_project(np.ones(3), np.array([0.5, 0.5]))
 
     def test_matches_slsqp_qp(self):
         from scipy.optimize import minimize
@@ -76,12 +74,9 @@ class TestTangentConeProject:
         for _ in range(40):
             m = int(rng.integers(2, 7))
             y = random_simplex_point(rng, m, int(rng.integers(0, m)))
-            cone = ConeSpec.at(y)
             v = rng.normal(size=m)
-            got = tangent_cone_project(v, cone)
-            bounds = [
-                (0.0, None) if i in cone.zero_set else (None, None) for i in range(m)
-            ]
+            got = tangent_cone_project(v, y)
+            bounds = [(0.0, None) if y[i] <= ZERO_TOL else (None, None) for i in range(m)]
             qp = minimize(
                 lambda u: float(np.sum((u - v) ** 2)),
                 x0=np.zeros(m),
@@ -100,7 +95,7 @@ class TestTangentConeProject:
             m = int(rng.integers(2, 8))
             y = random_simplex_point(rng, m, int(rng.integers(0, m)))
             v = rng.normal(size=m)
-            v_t = tangent_cone_project(v, ConeSpec.at(y))
+            v_t = tangent_cone_project(v, y)
             v_n = v - v_t
             assert abs(v_t @ v_n) <= 1e-10
             assert np.linalg.norm(v - v_t - v_n) <= 1e-10
@@ -127,22 +122,6 @@ class TestFeasibleDirectionSet:
         assert np.array_equal(direction_vector(-1, 0, 2, 3), [-1.0, 0.0, 1.0])
 
 
-class TestStationarityGapHull:
-    def test_zero_gradient(self):
-        atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert stationarity_gap_hull(np.zeros(2), atoms, np.array([0.3, 0.0])) == 0.0
-
-    def test_stationary_vertex(self):
-        atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        got = stationarity_gap_hull(np.array([1.0, 0.0]), atoms, np.array([0.0, 0.0]))
-        assert got == 0.0  # max{0, -1}
-
-    def test_descent_available(self):
-        atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        got = stationarity_gap_hull(np.array([1.0, 0.0]), atoms, np.array([1.0, 0.0]))
-        assert got == 1.0
-
-
 class TestConeMeasureProperty:
     def test_vertex_counterexample_is_the_known_degenerate_case(self):
         # At y = (1, 0) the only feasible direction is (-1, 1); for
@@ -152,7 +131,7 @@ class TestConeMeasureProperty:
         # weights and the vertex case is covered by the polarity property.
         y = np.array([1.0, 0.0])
         v = np.array([1.0, -1.0])
-        v_t = tangent_cone_project(v, ConeSpec.at(y))
+        v_t = tangent_cone_project(v, y)
         assert np.linalg.norm(v_t) == 0.0
         dirs = feasible_direction_set(y, 0)
         best = max(s * (v[i] - v[j]) for s, i, j in dirs)
@@ -182,7 +161,7 @@ class TestConeMeasureProperty:
 class TestNegativeControls:
     def test_broken_projector_fails_cone_suite(self):
         # doubling the projection inflates the right-hand side
-        broken = lambda v, cone: 10.0 * tangent_cone_project(v, cone)
+        broken = lambda v, y: 10.0 * tangent_cone_project(v, y)
         report = check_cone_measure(200, np.random.default_rng(5), project=broken)
         assert not report.passed
 

@@ -35,12 +35,12 @@ class TestIterate:
             calls.append(1)
             return 0.0
 
+        # no exchange direction exists, so the iteration ends the run at once
         state = DfSimplexState(y=np.array([1.0]), f=0.0, alpha_hat=np.array([1.0]))
         nxt = df_simplex_iterate(state, phi, DfSimplexConfig())
         assert calls == []
         assert np.array_equal(nxt.y, [1.0])
-        assert np.array_equal(nxt.alpha_hat, [1.0])
-        assert nxt.stop is None
+        assert nxt.stop is StopReason.TOLERANCE
 
     def test_hand_trace_linear_objective(self):
         # phi(y) = y_2, y0 = (0.5, 0.5), alpha_hat = (0.25, 0.25): the pivot is
@@ -94,11 +94,13 @@ class TestIterate:
 
 class TestSolve:
     def test_singleton_returns_immediately(self):
-        res = df_simplex_solve(lambda y: 3.0, np.array([1.0]), DfSimplexConfig())
+        obj = BudgetedObjective(lambda y: 3.0)
+        res = df_simplex_solve(obj, np.array([1.0]), DfSimplexConfig())
         assert res.stop is StopReason.TOLERANCE
-        assert res.iterations == 0
+        assert res.iterations == 1
         assert np.array_equal(res.y, [1.0])
-        assert np.array_equal(res.alpha_hat, [DfSimplexConfig().epsilon])
+        assert res.f == 3.0
+        assert obj.eval_count == 1  # f0 only
 
     def test_linear_objective_finds_best_vertex(self):
         res = df_simplex_solve(_linear_phi([0.0, 1.0]), np.array([0.5, 0.5]), DfSimplexConfig())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from atomdfo.core import BudgetedObjective, BudgetExhausted, is_simplex_point
+from atomdfo.core import BudgetedObjective, BudgetExhausted, exchange_point, is_simplex_point
 from atomdfo.linesearch import line_search
 from atomdfo.analysis import reference_line_search
 
@@ -104,6 +104,23 @@ def test_sufficient_decrease_certificate_and_feasibility():
             assert out.f_new <= f_z - gamma * out.alpha**2
             assert abs(phi(np.clip(accepted_point, 0, None)) - out.f_new) <= 1e-12
     assert accepted > 20  # the sweep must exercise the accepting branch
+
+
+def test_outcome_point_is_the_accepted_probe():
+    rng = np.random.default_rng(13)
+    accepted = failed = 0
+    for _ in range(300):
+        phi, z, i, j, alpha_hat, gamma, delta = _random_case(rng)
+        out = line_search(phi, z, phi(z), i, j, alpha_hat, gamma, delta)
+        if out.alpha > 0:
+            accepted += 1
+            assert (out.z.tobytes(), out.f_new) in [(p.tobytes(), v) for p, v in out.samples]
+            # the point DF-SIMPLEX used to rebuild from (sign, alpha), bit for bit
+            assert out.z.tobytes() == exchange_point(z, out.sign, i, j, out.alpha).tobytes()
+        else:
+            failed += 1
+            assert out.z is z
+    assert accepted > 20 and failed > 20
 
 
 def test_probe_count_bounded():

@@ -133,30 +133,20 @@ class TestSimplexGradient:
 
 class TestDropPhase:
     def test_zero_weight_rule(self):
-        got = drop_phase([7, 8, 9], np.array([0.5, 0.5, 0.0]), DropRule.ZERO_WEIGHT)
+        got = drop_phase([7, 8, 9], np.array([0.5, 0.5, 0.0]))
         assert got == {9}
 
     def test_gradient_filter_keeps_descent_candidate(self):
         # g^T (e_3 - y) = -1 < 0: the estimate still points at atom 9, keep it
-        got = drop_phase(
-            [7, 8, 9],
-            np.array([0.5, 0.5, 0.0]),
-            DropRule.GRADIENT_FILTERED,
-            g=np.array([0.0, 0.0, -1.0]),
-        )
+        got = drop_phase([7, 8, 9], np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, -1.0]))
         assert got == set()
 
     def test_gradient_filter_drops_ascent_candidate(self):
-        got = drop_phase(
-            [7, 8, 9],
-            np.array([0.5, 0.5, 0.0]),
-            DropRule.GRADIENT_FILTERED,
-            g=np.array([0.0, 0.0, 1.0]),
-        )
+        got = drop_phase([7, 8, 9], np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
         assert got == {9}
 
     def test_positive_weights_never_dropped(self):
-        got = drop_phase([0, 1], np.array([0.7, 0.3]), DropRule.ZERO_WEIGHT)
+        got = drop_phase([0, 1], np.array([0.7, 0.3]))
         assert got == set()
 
     def test_filtered_is_subset_of_zero_weight(self):
@@ -169,19 +159,11 @@ class TestDropPhase:
             y = y / y.sum()
             ids = list(range(m))
             g = rng.normal(size=m)
-            zw = drop_phase(ids, y, DropRule.ZERO_WEIGHT)
-            gf = drop_phase(ids, y, DropRule.GRADIENT_FILTERED, g=g)
-            assert gf <= zw
-
-    def test_missing_gradient_rejected(self):
-        with pytest.raises(ValueError):
-            drop_phase([0], np.array([1.0]), DropRule.GRADIENT_FILTERED)
+            assert drop_phase(ids, y, g) <= drop_phase(ids, y)
 
     def test_gradient_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            drop_phase(
-                [0, 1], np.array([1.0, 0.0]), DropRule.GRADIENT_FILTERED, g=np.zeros(3)
-            )
+            drop_phase([0, 1], np.array([1.0, 0.0]), np.zeros(3))
 
 
 class TestReexpressWeights:

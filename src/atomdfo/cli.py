@@ -31,6 +31,7 @@ from .dfsimplex import df_simplex_solve
 from .ord import ord_solve
 
 SOLVER_NAMES = ("ord", "dfsimplex")
+MANIFEST_KEYS = {"pairs", "functions", "seeds", "solvers", "budget_factor", "ord", "dfsimplex"}
 
 TRACE_HEADER = ("eval", "f", "best_f")
 SUMMARY_HEADER = (
@@ -100,6 +101,9 @@ class SuiteConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read manifest {path}: {exc}") from exc
         try:
+            unknown = sorted(set(raw) - MANIFEST_KEYS)
+            if unknown:
+                raise UsageError(f"bad manifest {path}: unknown keys {unknown}")
             return cls(
                 pairs=tuple((int(n), int(m)) for n, m in raw["pairs"]),
                 functions=tuple(raw.get("functions", bench.FUNCTION_NAMES)),

@@ -230,7 +230,9 @@ def ord_solve(
 
     active: List[int] = [int(start_atom_id)]
     y = np.array([1.0])
-    f_x = objective(atoms.atoms[start_atom_id].copy())
+    # f_x is the objective's value at x_f, the point it was evaluated at
+    x_f = atoms.atoms[start_atom_id].copy()
+    f_x = objective(x_f)
     mu_hat = cfg.mu0
 
     def result(x_out, f_out, ids, w, k, stop):
@@ -256,8 +258,10 @@ def ord_solve(
         inner = df_simplex_solve(phi, y, inner_cfg, f0=f_x)
         y_bar, f_bar = inner.y, inner.f
         x_bar = y_bar @ A_k
+        if f_bar != f_x:
+            x_f = x_bar
         if inner.stop is InnerStop.BUDGET:
-            return result(x_bar, f_bar, active, y_bar, k, OrdStop.BUDGET)
+            return result(x_f, f_bar, active, y_bar, k, OrdStop.BUDGET)
 
         # ascending, so each seeded refine draw maps to the same atom id
         inactive_mask = np.ones(atoms.m, dtype=bool)
@@ -286,20 +290,20 @@ def ord_solve(
             ))
 
         if refine.found:
-            x_next, f_next = refine.x_next, refine.f_next
+            x_f, f_next = refine.x_next, refine.f_next
             mu_next = mu_hat
         else:
-            x_next, f_next = x_bar, f_bar
+            f_next = f_bar
             mu_next = cfg.theta * mu_hat
             if refine.budget_exhausted:
-                return result(x_next, f_next, new_active, y_next, k + 1, OrdStop.BUDGET)
+                return result(x_f, f_next, new_active, y_next, k + 1, OrdStop.BUDGET)
             if len(inactive) == 0:
                 # Every atom is active: nothing to refine toward, so the run
                 # is a fixpoint only once the tolerance schedule has bottomed
                 # out, nothing is droppable, and the inner solve at the floor
                 # tolerance accepted no move.
                 if not dropped and eps_k <= cfg.eps_min and f_bar == f_x:
-                    return result(x_next, f_next, new_active, y_next, k + 1, OrdStop.STALLED)
+                    return result(x_f, f_next, new_active, y_next, k + 1, OrdStop.STALLED)
             elif eps_k <= cfg.eps_min:
                 # A converged verdict must carry the final-tolerance inner
                 # certificate, so the mu_hat rule only applies once the
@@ -309,9 +313,7 @@ def ord_solve(
                 )
                 # max_dist == 0 means every inactive atom sits at x_bar already
                 if max_dist == 0.0 or mu_hat <= cfg.stop_factor / max_dist:
-                    return result(
-                        x_next, f_next, new_active, y_next, k + 1, OrdStop.CONVERGED
-                    )
+                    return result(x_f, f_next, new_active, y_next, k + 1, OrdStop.CONVERGED)
 
         active, y, f_x, mu_hat = new_active, y_next, f_next, mu_next
         k += 1

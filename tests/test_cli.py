@@ -258,6 +258,14 @@ class TestSuiteConfig:
         manifest = write_manifest(tmp_path / "suite.json", **overrides)
         assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
 
+    def test_unknown_manifest_key(self, tmp_path, capsys):
+        # misspelt keys would otherwise run ORD with the default budget_factor
+        manifest = write_manifest(tmp_path / "suite.json", solver=["dfsimplex"], budget_factr=5)
+        assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "budget_factr" in err and "'solver'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unparseable_json(self, tmp_path):
         path = tmp_path / "suite.json"
         path.write_text("{not json")

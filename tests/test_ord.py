@@ -424,6 +424,7 @@ def test_ord_solve_invariants(problem, seed):
         records = []
         res = ord_solve(obj, atoms, OrdConfig(rng_seed=seed), start, sink=records.append)
         assert res.evals == obj.eval_count <= (budget or res.evals)
+        assert obj.func(res.x) == res.f  # x is the point f was evaluated at
         outcome = (res.x.tobytes(), res.f, res.weights.w.tobytes(), res.weights.ids, res.stop)
         return res, [(rec.k, rec.evals) for rec in records], outcome
 

@@ -88,8 +88,10 @@ def refine_phase(
     """Try the candidate atom ids in seeded random order, one evaluation each.
 
     A candidate a is accepted when f(x_bar + mu_hat*(a - x_bar)) improves on
-    f_bar by at least gamma*mu_hat**2; the first success wins. The seeded
-    permutation is over positions in ``candidates``, so their order matters.
+    f_bar by at least gamma*mu_hat**2, and strictly: that margin rounds away
+    against a large f_bar, and a zero-decrease step could cycle with the drop
+    rule. The first success wins. The seeded permutation is over positions in
+    ``candidates``, so their order matters.
     """
     if len(candidates) == 0:
         return RefineOutcome(None, None, f_bar, 0)
@@ -103,7 +105,7 @@ def refine_phase(
         except BudgetExhausted:
             return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
         tried += 1
-        if f_trial <= f_bar - gamma * mu_hat * mu_hat:
+        if f_trial < f_bar and f_trial <= f_bar - gamma * mu_hat * mu_hat:
             return RefineOutcome(atom_id, trial, f_trial, tried)
     return RefineOutcome(None, None, f_bar, tried)
 

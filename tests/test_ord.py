@@ -22,6 +22,15 @@ from atomdfo.ord import (
 
 
 class TestRefinePhase:
+    def test_zero_decrease_rejected(self):
+        # at f_bar = 1e10, gamma*mu_hat**2 = 1e-8 is below half an ulp, so the
+        # margin test alone would accept an equal value
+        atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        rng = np.random.default_rng(0)
+        out = refine_phase(lambda x: 1e10, np.zeros(2), 1e10, atoms, [1], 0.1, 1e-6, rng)
+        assert not out.found
+        assert out.candidates_tried == 1
+
     def test_no_candidates(self):
         atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
         rng = np.random.default_rng(0)
@@ -213,6 +222,24 @@ class TestOrdSolve:
         assert res.stop is OrdStop.CONVERGED
         assert np.allclose(res.x, atoms.atoms[best])
         assert res.weights.ids == (best,)
+
+    def test_duplicate_atom_stops(self):
+        # refine once re-added the twin at zero decrease and drop removed it
+        # again, cycling until the budget ran out
+        atoms = AtomSet(np.array([[1.0, 2.0], [1.0, 2.0]]))
+        obj = BudgetedObjective(lambda x: float(np.sum((x - 3.0) ** 2)), budget=5000)
+        res = ord_solve(obj, atoms, OrdConfig(rng_seed=0))
+        assert res.stop is OrdStop.CONVERGED
+        assert res.weights.ids == (0,)
+        assert res.evals == 89
+
+    def test_equal_atoms_converge(self):
+        atoms = AtomSet(np.repeat(np.array([[1.0, -2.0, 0.5]]), 5, axis=0))
+        c = np.array([0.5, -1.0, 2.0])
+        obj = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2)), budget=5000)
+        res = ord_solve(obj, atoms, OrdConfig(rng_seed=0))
+        assert res.stop is OrdStop.CONVERGED
+        assert res.weights.ids == (0,)
 
     def test_interior_quadratic_recovered(self):
         # 3 atoms in the plane, target at their centroid: the solver must beat
@@ -407,9 +434,7 @@ def _ord_problems(draw):
         atoms = atoms[rng.integers(0, max(1, m // 2), m)]
     elif kind == "all_equal":
         atoms = np.repeat(atoms[:1], m, axis=0)
-    # without a budget, ORD on repeated atoms can cycle forever (ROADMAP item 4)
-    budgets = st.integers(1, 60)
-    budget = draw(st.none() | budgets if kind == "random" else budgets)
+    budget = draw(st.none() | st.integers(1, 60))
     return AtomSet(atoms), rng.uniform(-5, 5, n), budget, draw(st.integers(0, m - 1))
 
 

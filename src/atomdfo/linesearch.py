@@ -55,7 +55,7 @@ def line_search(
         raise ValueError(f"alpha_hat must be positive, got {alpha_hat}")
     samples: List[Tuple[np.ndarray, float]] = []
 
-    def probe(sign: int, step: float):
+    def probe(sign: int, step: float) -> Tuple[np.ndarray, float, bool]:
         point = exchange_point(z, sign, i, j, step)
         value = phi(point)
         samples.append((point, value))

@@ -224,8 +224,8 @@ class TestOrdSolve:
         assert res.weights.ids == (best,)
 
     def test_duplicate_atom_stops(self):
-        # refine once re-added the twin at zero decrease and drop removed it
-        # again, cycling until the budget ran out
+        # gamma*mu_hat**2 soon rounds away against f = 5: a zero-decrease refine
+        # would re-add the twin that the drop rule removes, round after round
         atoms = AtomSet(np.array([[1.0, 2.0], [1.0, 2.0]]))
         obj = BudgetedObjective(lambda x: float(np.sum((x - 3.0) ** 2)), budget=5000)
         res = ord_solve(obj, atoms, OrdConfig(rng_seed=0))

@@ -8,6 +8,7 @@ matters downstream.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -495,7 +496,8 @@ class ProblemInstance:
     """One benchmark problem: a catalog function over a random atom cloud.
 
     The budget convention is 100(n+1) evaluations. Construction is a pure
-    function of (function_name, n, m, seed).
+    function of (function_name, n, m, seed). Every function at the same
+    (n, m, seed) shares one read-only atom array: copy it before modifying it.
     """
 
     function_name: str
@@ -511,15 +513,27 @@ class ProblemInstance:
         return f"{self.function_name}_n{self.n}_m{self.m}_seed{self.seed}"
 
 
+# A suite runs every catalog function on one cloud per (n, m, seed), so a
+# few entries cover a suite; the bound caps what large-m clouds keep alive.
+CLOUD_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=CLOUD_CACHE_SIZE)
+def _cloud(n: int, m: int, seed: int) -> Tuple[AtomSet, int]:
+    """The atom set and start atom id of every problem at (n, m, seed)."""
+    atoms_ss, start_ss = np.random.SeedSequence(seed).spawn(2)
+    atoms = generate_uniform_atoms(n, m, seed=atoms_ss)
+    # shared by every caller, so a write must fail instead of leaking across
+    atoms.atoms.flags.writeable = False
+    return atoms, random_vertex_start(m, seed=start_ss)
+
+
 def make_problem(
     name: str, n: int, m: int, seed: int, budget_factor: int = 100
 ) -> ProblemInstance:
     if not valid_dimension(name, n):
         raise ValueError(f"function {name!r} does not accept dimension n={n}")
-    root = np.random.SeedSequence(seed)
-    atoms_ss, start_ss = root.spawn(2)
-    atoms = generate_uniform_atoms(n, m, seed=atoms_ss)
-    start = random_vertex_start(m, seed=start_ss)
+    atoms, start = _cloud(n, m, seed)
     return ProblemInstance(
         function_name=name,
         n=n,

@@ -180,6 +180,19 @@ def _run_task(task):
         return ("error", task, repr(exc))
 
 
+def _outcomes(tasks, workers: int):
+    """Each task's outcome, in task order, as soon as it is ready.
+
+    Consumed lazily, so a suite holds the trace rows of the runs not yet
+    written, not of every run.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_task, tasks)
+    else:
+        yield from map(_run_task, tasks)
+
+
 def cmd_run(manifest_path, out_dir, jobs: int = 1, seeds: Optional[Sequence[int]] = None) -> int:
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
@@ -187,24 +200,22 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1, seeds: Optional[Sequence[int]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_seeds = tuple(seeds) if seeds else suite.seeds
+    # seed before function: the runs on one atom cloud are consecutive, so
+    # bench's bounded cache generates each cloud once however many seeds
     tasks = [
         (name, n, m, seed, solver, suite.budget_factor, suite.ord_options, suite.dfsimplex_options)
         for (n, m) in suite.pairs
-        for name in suite.functions
         for seed in run_seeds
+        for name in suite.functions
         for solver in suite.solvers
     ]
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_task, tasks))
-    else:
-        outcomes = [_run_task(task) for task in tasks]
+    # summary.csv is written last, so its presence marks a complete suite
+    (out / "summary.csv").unlink(missing_ok=True)
 
     summary_rows = []
     n_failures = 0
     n_traces = 0
-    for outcome in outcomes:
+    for outcome in _outcomes(tasks, min(jobs, len(tasks))):
         if outcome[0] == "ok":
             problem_id, solver, trace_rows, summary = outcome[1]
             trace_path = out / f"{problem_id}__{solver}.csv"

@@ -204,6 +204,11 @@ def reexpress_weights(
     return new_ids, w / total
 
 
+def farthest_distance(atoms: AtomSet, ids: np.ndarray, x: np.ndarray) -> float:
+    """Largest Euclidean distance from x to the atoms with the given ids."""
+    return float(np.linalg.norm(atoms.atoms[ids] - x, axis=1).max())
+
+
 def ord_solve(
     f: Callable[[np.ndarray], float],
     atoms: AtomSet,
@@ -310,9 +315,7 @@ def ord_solve(
                 # A converged verdict must carry the final-tolerance inner
                 # certificate, so the mu_hat rule only applies once the
                 # tolerance schedule has bottomed out.
-                max_dist = max(
-                    float(np.linalg.norm(atoms.atoms[i] - x_bar)) for i in inactive
-                )
+                max_dist = farthest_distance(atoms, inactive, x_bar)
                 # max_dist == 0 means every inactive atom sits at x_bar already
                 if max_dist == 0.0 or mu_hat <= cfg.stop_factor / max_dist:
                     return result(x_f, f_next, new_active, y_next, k + 1, OrdStop.CONVERGED)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from atomdfo import bench
 from atomdfo.bench import (
     FUNCTION_NAMES,
     generate_uniform_atoms,
@@ -10,6 +11,8 @@ from atomdfo.bench import (
     random_vertex_start,
     valid_dimension,
 )
+from atomdfo.core import BudgetedObjective, OrdConfig
+from atomdfo.ord import ord_solve
 
 EVEN_ONLY = {
     name for name in FUNCTION_NAMES if not valid_dimension(name, 3) and valid_dimension(name, 4)
@@ -186,3 +189,45 @@ class TestMakeProblem:
     def test_invalid_combination_rejected(self):
         with pytest.raises(ValueError):
             make_problem("ext_beale", 9, 20, seed=0)
+
+
+class TestSharedClouds:
+    def test_functions_share_one_atom_set(self):
+        a = make_problem("power", 10, 30, seed=5)
+        b = make_problem("quartc", 10, 30, seed=5)
+        assert a.atoms is b.atoms
+        assert a.start_id == b.start_id
+
+    def test_cloud_matches_its_seed_stream(self):
+        atoms_ss, start_ss = np.random.SeedSequence(5).spawn(2)
+        problem = make_problem("power", 10, 30, seed=5)
+        assert np.array_equal(problem.atoms.atoms,
+                              generate_uniform_atoms(10, 30, seed=atoms_ss).atoms)
+        assert problem.start_id == random_vertex_start(30, seed=start_ss)
+
+    @pytest.mark.parametrize("m, seed", [(30, 6), (31, 5)])
+    def test_other_seed_or_m_gets_another_cloud(self, m, seed):
+        base = make_problem("power", 10, 30, seed=5)
+        other = make_problem("power", 10, m, seed=seed)
+        assert other.atoms is not base.atoms
+        assert not np.array_equal(other.atoms.atoms, base.atoms.atoms)
+
+    def test_shared_atoms_are_read_only(self):
+        problem = make_problem("power", 10, 30, seed=5)
+        with pytest.raises(ValueError):
+            problem.atoms.atoms[0, 0] = 1.0
+        assert make_problem("quartc", 10, 30, seed=5).atoms.atoms[0, 0] != 1.0
+
+    def test_cache_is_bounded(self):
+        maxsize = bench._cloud.cache_info().maxsize
+        assert maxsize == bench.CLOUD_CACHE_SIZE == 8
+        for seed in range(2 * maxsize):
+            make_problem("power", 2, 4, seed=seed)
+        assert bench._cloud.cache_info().currsize <= maxsize
+
+    def test_ord_solves_on_read_only_atoms(self):
+        problem = make_problem("power", 10, 50, seed=1)
+        func = make_test_function("power", 10)
+        objective = BudgetedObjective(func.value, budget=problem.budget)
+        res = ord_solve(objective, problem.atoms, OrdConfig(rng_seed=1), problem.start_id)
+        assert res.evals == objective.eval_count > 0

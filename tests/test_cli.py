@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from atomdfo import cli
+from atomdfo import bench, cli
 from atomdfo.analysis import PropertyReport
 
 
@@ -145,6 +145,34 @@ class TestRun:
         assert cli.main(["run", "--config", str(manifest), "--out", str(out), "--jobs", "8"]) == 0
         assert started == [2]
         assert len(read_summary(out)) == 2
+
+    def test_traces_stream_and_summary_comes_last(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "summary.csv").write_text("stale\n")
+        original = cli.run_one
+        finished, seen = [], []
+
+        def watched(*args):
+            traces = sum((out / f"{pid}__{solver}.csv").is_file() for pid, solver in finished)
+            seen.append((len(finished), traces, (out / "summary.csv").exists()))
+            problem_id, solver, trace_rows, summary = original(*args)
+            finished.append((problem_id, solver))
+            return problem_id, solver, trace_rows, summary
+
+        monkeypatch.setattr(cli, "run_one", watched)
+        manifest = write_manifest(tmp_path / "suite.json")
+        assert cli.main(["run", "--config", str(manifest), "--out", str(out)]) == 0
+        # (runs finished, their traces on disk, summary.csv present) as each run starts
+        assert seen == [(0, 0, False), (1, 1, False)]
+        assert len(read_summary(out)) == 2
+
+    def test_each_cloud_generated_once(self, tmp_path):
+        seeds = list(range(2 * bench.CLOUD_CACHE_SIZE))  # more clouds than the cache keeps
+        manifest = write_manifest(tmp_path / "suite.json", seeds=seeds, budget_factor=2)
+        bench._cloud.cache_clear()
+        assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "out")]) == 0
+        assert bench._cloud.cache_info().misses == len(seeds)
 
     def test_run_failure_recorded_per_row(self, tmp_path, monkeypatch, capsys):
         calls = {"n": 0}

@@ -14,6 +14,7 @@ from atomdfo.ord import (
     OrdStop,
     PoisednessFailure,
     drop_phase,
+    farthest_distance,
     ord_solve,
     reexpress_weights,
     refine_phase,
@@ -209,6 +210,19 @@ class TestReexpressWeights:
         new_ids, w = reexpress_weights(y, ids, (5, mu), {4})
         expected = x_bar + mu * (atoms.atoms[5] - x_bar)
         assert np.max(np.abs(w @ atoms.subset(new_ids) - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_farthest_distance_matches_per_atom_norms(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 300)), int(rng.integers(1, 12))
+    atoms = AtomSet(rng.uniform(-10.0, 10.0, (m, n)))
+    ids = np.flatnonzero(rng.random(m) < 0.7)
+    if ids.size == 0:
+        ids = np.array([0])
+    x = rng.uniform(-10.0, 10.0, n)
+    expected = max(float(np.linalg.norm(atoms.atoms[i] - x)) for i in ids)
+    assert farthest_distance(atoms, ids, x) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestOrdSolve:

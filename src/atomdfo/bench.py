@@ -513,12 +513,10 @@ class ProblemInstance:
         return f"{self.function_name}_n{self.n}_m{self.m}_seed{self.seed}"
 
 
-# A suite runs every catalog function on one cloud per (n, m, seed), so a
-# few entries cover a suite; the bound caps what large-m clouds keep alive.
-CLOUD_CACHE_SIZE = 8
-
-
-@functools.lru_cache(maxsize=CLOUD_CACHE_SIZE)
+# Callers ask for one cloud's problems back to back (every catalog function
+# at one (n, m, seed)), so one entry makes each cloud once and keeps no
+# large-m cloud alive after its problems are gone.
+@functools.lru_cache(maxsize=1)
 def _cloud(n: int, m: int, seed: int) -> Tuple[AtomSet, int]:
     """The atom set and start atom id of every problem at (n, m, seed)."""
     atoms_ss, start_ss = np.random.SeedSequence(seed).spawn(2)

@@ -201,7 +201,7 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1, seeds: Optional[Sequence[int]
     out.mkdir(parents=True, exist_ok=True)
     run_seeds = tuple(seeds) if seeds else suite.seeds
     # seed before function: the runs on one atom cloud are consecutive, so
-    # bench's bounded cache generates each cloud once however many seeds
+    # bench's one-entry cloud cache generates each cloud once
     tasks = [
         (name, n, m, seed, solver, suite.budget_factor, suite.ord_options, suite.dfsimplex_options)
         for (n, m) in suite.pairs

@@ -205,8 +205,14 @@ def reexpress_weights(
 
 
 def farthest_distance(atoms: AtomSet, ids: np.ndarray, x: np.ndarray) -> float:
-    """Largest Euclidean distance from x to the atoms with the given ids."""
-    return float(np.linalg.norm(atoms.atoms[ids] - x, axis=1).max())
+    """Largest Euclidean distance from x to the atoms with the given ids.
+
+    Bitwise equal to the max of np.linalg.norm(atoms.atoms[i] - x) over ids:
+    a (1, n) @ (n, 1) product takes each row's square with the same dot as a
+    1-D norm, and sqrt is monotone, so it commutes with the max.
+    """
+    d = atoms.atoms[ids] - x
+    return float(np.sqrt((d[:, None, :] @ d[:, :, None]).max()))
 
 
 def ord_solve(

@@ -218,12 +218,11 @@ class TestSharedClouds:
             problem.atoms.atoms[0, 0] = 1.0
         assert make_problem("quartc", 10, 30, seed=5).atoms.atoms[0, 0] != 1.0
 
-    def test_cache_is_bounded(self):
-        maxsize = bench._cloud.cache_info().maxsize
-        assert maxsize == bench.CLOUD_CACHE_SIZE == 8
-        for seed in range(2 * maxsize):
+    def test_cache_keeps_one_cloud(self):
+        assert bench._cloud.cache_info().maxsize == 1
+        for seed in range(4):
             make_problem("power", 2, 4, seed=seed)
-        assert bench._cloud.cache_info().currsize <= maxsize
+        assert bench._cloud.cache_info().currsize == 1
 
     def test_ord_solves_on_read_only_atoms(self):
         problem = make_problem("power", 10, 50, seed=1)

@@ -313,7 +313,11 @@ def check_linesearch_oracle(trials: int, rng: np.random.Generator) -> PropertyRe
 
 
 def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> PropertyReport:
-    """The sample-based gradient is exact on affine objectives."""
+    """The sample-based gradient's tangent part is exact on affine objectives.
+
+    Only g - c with its mean removed is compared: the fit pins the component
+    along the all-ones vector to zero, which the drop test cancels anyway.
+    """
     from .ord import simplex_gradient
 
     worst = -np.inf
@@ -325,8 +329,8 @@ def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> Prop
         y0 = random_simplex_point(rng, m, int(rng.integers(0, m)))
         cfg = DfSimplexConfig(epsilon=1e-3)
         res = df_simplex_solve(phi, y0, cfg)
-        g = simplex_gradient(res.samples, res.y, res.f, cfg.epsilon, phi)
-        worst = max(worst, float(np.max(np.abs(g - c))))
+        d = simplex_gradient(res.samples, res.y, res.f) - c
+        worst = max(worst, float(np.max(np.abs(d - d.mean()))))
     return PropertyReport("simplex-grad-affine", trials, 1e-8 - worst, worst <= 1e-8)
 
 

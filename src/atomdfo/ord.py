@@ -93,8 +93,6 @@ def refine_phase(
     rule. The first success wins. The seeded permutation is over positions in
     ``candidates``, so their order matters.
     """
-    if len(candidates) == 0:
-        return RefineOutcome(None, None, f_bar, 0)
     order = rng.permutation(len(candidates))
     tried = 0
     for idx in order:
@@ -110,41 +108,30 @@ def refine_phase(
     return RefineOutcome(None, None, f_bar, tried)
 
 
-def _dedup_samples(samples):
-    """The samples with repeated points removed, first occurrence kept."""
-    unique: dict = {}
-    for point, value in samples:
-        unique.setdefault(point.tobytes(), (point, value))
-    return list(unique.values())
-
-
 def simplex_gradient(
     samples: Sequence[Tuple[np.ndarray, float]],
     y_bar: np.ndarray,
     f_bar: float,
-    eps: float,
-    phi: Callable[[np.ndarray], float],
 ) -> np.ndarray:
-    """Least-squares gradient estimate from the final-iteration sample set.
+    """Least-squares fit of the tangent gradient to the final-iteration samples.
 
-    Repeated sample points count once. One extra point y_bar - eps*(sqrt(2)/m)*e
-    is evaluated to make the set poised; it lies outside the simplex, which is
-    fine since the objective is defined on all of R^n. Raises PoisednessFailure
-    when the rows do not span R^m even with the extra point.
+    Makes no evaluation. The rows s - y_bar span at most the tangent space
+    {d : sum(d) = 0}, and the drop test g_h - g^T y_bar cancels any multiple
+    of the all-ones vector, so one more row along it with right-hand side 0
+    pins that component to zero (rounding leaves the rows' sums slightly off
+    zero, which a plain min-norm fit would amplify). The row is as long as the
+    longest sample row, so the rank test is relative to the samples' scale.
+    Raises PoisednessFailure when the samples span less than the tangent space.
     """
     y_bar = np.asarray(y_bar, dtype=float)
     m = len(y_bar)
-    samples = _dedup_samples(samples)
-    extra = y_bar - eps * (np.sqrt(2.0) / m) * np.ones(m)
-    f_extra = phi(extra)
-    points = [p for p, _ in samples] + [extra]
-    values = [v for _, v in samples] + [f_extra]
-    S_t = np.array([p - y_bar for p in points])  # rows s_i - y_bar
-    b = np.array(values) - f_bar
-    rank = np.linalg.matrix_rank(S_t)
+    rows = np.array([p for p, _ in samples], dtype=float).reshape(-1, m) - y_bar
+    scale = np.linalg.norm(rows, axis=1).max(initial=0.0) or 1.0
+    S_t = np.vstack([rows, np.full(m, scale / np.sqrt(m))])
+    b = np.append(np.array([v for _, v in samples]) - f_bar, 0.0)
+    g, _, rank, _ = np.linalg.lstsq(S_t, b, rcond=None)
     if rank < m:
-        raise PoisednessFailure(f"{len(points)} sample points span rank {rank} < {m}")
-    g, *_ = np.linalg.lstsq(S_t, b, rcond=None)
+        raise PoisednessFailure(f"{len(samples)} samples span tangent rank {rank - 1} < {m - 1}")
     return g
 
 
@@ -231,6 +218,10 @@ def ord_solve(
     first floor-tolerance iteration that changes nothing. ``sink``, when given,
     receives one OrdTraceRecord per outer iteration; without it none is built.
 
+    Every evaluated point lies in conv(atoms), up to rounding: the inner
+    solves probe the active subset's hull, refine probes a segment toward an
+    atom, and the gradient-filtered drop rule reuses the inner samples.
+
     Evaluations are counted by one BudgetedObjective: ``f`` itself when it is
     one, else a budgetless wrapper around it. Either way a NaN/inf value raises
     NonFiniteValue, and ``evals`` reports the objective's ``eval_count``,
@@ -287,8 +278,8 @@ def ord_solve(
         gradient = None  # None drops by the plain zero-weight rule
         if cfg.drop_rule is DropRule.GRADIENT_FILTERED:
             try:
-                gradient = simplex_gradient(inner.samples, y_bar, f_bar, eps_k, phi)
-            except (PoisednessFailure, BudgetExhausted):
+                gradient = simplex_gradient(inner.samples, y_bar, f_bar)
+            except PoisednessFailure:
                 pass
         dropped = drop_phase(active, y_bar, gradient)
 

@@ -139,7 +139,8 @@ def test_criterion_5_simplex_gradient_exactness():
     report(
         "criterion-5 simplex gradient",
         rep.passed,
-        f"100 affine trials, worst |g - c|_inf slack={rep.worst_margin:+.3e} (need <= 1e-8)",
+        f"100 affine trials, worst tangent |g - c|_inf slack={rep.worst_margin:+.3e} "
+        "(need <= 1e-8)",
     )
 
 

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 from atomdfo.core import (
     AtomSet,
     BudgetedObjective,
+    DfSimplexConfig,
     DropRule,
     NonFiniteValue,
     OrdConfig,
     is_simplex_point,
 )
+from atomdfo.dfsimplex import df_simplex_solve
 from atomdfo.ord import (
     OrdStop,
     PoisednessFailure,
@@ -79,6 +81,11 @@ class TestRefinePhase:
         assert tried[0] == tried[1]
 
 
+def _tangent(v):
+    """v without its component along the all-ones vector."""
+    return v - np.mean(v)
+
+
 class TestSimplexGradient:
     def test_exact_on_affine(self):
         rng = np.random.default_rng(5)
@@ -93,19 +100,20 @@ class TestSimplexGradient:
                 point[i] += 1e-3
                 point[0] -= 1e-3
                 samples.append((point, phi(point)))
-            g = simplex_gradient(samples, y_bar, f_bar, 1e-3, phi)
-            assert np.max(np.abs(g - c)) <= 1e-8
+            g = simplex_gradient(samples, y_bar, f_bar)
+            assert np.max(np.abs(_tangent(g - c))) <= 1e-8
 
     def test_quadratic_error_order_epsilon(self):
         # phi(y) = y_1^2 + 2 y_2^2 at the vertex (1, 0): only the backward
-        # exchange probe is feasible; the estimate must match (2, 0) within
-        # the finite-difference error bound 10 * eps * L with L = 4.
+        # exchange probe is feasible; the estimate's tangent part must match
+        # that of (2, 0) within the finite-difference error bound 10 * eps * L
+        # with L = 4.
         eps = 1e-2
         phi = lambda y: float(y[0] ** 2 + 2.0 * y[1] ** 2)
         y_bar = np.array([1.0, 0.0])
         probe = np.array([1.0 - eps, eps])
-        g = simplex_gradient([(probe, phi(probe))], y_bar, phi(y_bar), eps, phi)
-        assert np.max(np.abs(g - np.array([2.0, 0.0]))) <= 10 * eps * 4.0
+        g = simplex_gradient([(probe, phi(probe))], y_bar, phi(y_bar))
+        assert np.max(np.abs(_tangent(g - np.array([2.0, 0.0])))) <= 10 * eps * 4.0
 
     def test_duplicate_samples_fail_poisedness(self):
         phi = lambda y: float(y[0])
@@ -113,32 +121,7 @@ class TestSimplexGradient:
         point = np.array([0.4, 0.6, 0.0])
         samples = [(point, phi(point)), (point.copy(), phi(point))]
         with pytest.raises(PoisednessFailure):
-            simplex_gradient(samples, y_bar, phi(y_bar), 1e-2, phi)
-
-    def test_repeated_sample_counts_once(self):
-        # with more rows than unknowns a repeated row would reweight the
-        # least-squares fit of a non-affine phi; it must not
-        phi = lambda y: float(np.sum(y**3) + y[0] * y[1])
-        y_bar = np.array([0.5, 0.3, 0.2])
-        steps = 0.01 * np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
-        samples = [(p, phi(p)) for p in y_bar + steps]
-        g = simplex_gradient(samples, y_bar, phi(y_bar), 1e-2, phi)
-        repeated = samples + [(samples[1][0].copy(), samples[1][1])]
-        assert np.array_equal(simplex_gradient(repeated, y_bar, phi(y_bar), 1e-2, phi), g)
-
-    def test_extra_point_costs_one_evaluation(self):
-        calls = []
-
-        def phi(y):
-            calls.append(y.copy())
-            return float(y[0])
-
-        y_bar = np.array([1.0, 0.0])
-        probe = np.array([0.99, 0.01])
-        simplex_gradient([(probe, phi(probe))], y_bar, 1.0, 1e-2, phi)
-        assert len(calls) == 2  # the probe above plus the appended point
-        extra = calls[-1]
-        assert extra.sum() < 1.0  # deliberately outside the simplex
+            simplex_gradient(samples, y_bar, phi(y_bar))
 
 
 class TestDropPhase:
@@ -247,7 +230,7 @@ class TestOrdSolve:
         res = ord_solve(obj, atoms, OrdConfig(rng_seed=0))
         assert res.stop is OrdStop.CONVERGED
         assert res.weights.ids == (0,)
-        assert res.evals == 89
+        assert res.evals == 45
 
     def test_equal_atoms_converge(self):
         atoms = AtomSet(np.repeat(np.array([[1.0, -2.0, 0.5]]), 5, axis=0))
@@ -330,17 +313,37 @@ class TestOrdSolve:
                 assert rec.mu_hat == pytest.approx(cfg.theta * prev.mu_hat)
 
     def test_plain_callable_nan_raises(self):
-        # NaN off the square [1, 2]^2: the simplex-gradient poisedness point
-        # leaves it, and a plain callable is counted by a BudgetedObjective too
+        # NaN everywhere but at the atoms: the first refine probe gets NaN,
+        # and a plain callable is counted by a BudgetedObjective too
         atoms = AtomSet(np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [2.0, 2.0]]))
 
         def f(x):
-            if np.any(x < 1.0) or np.any(x > 2.0):
+            if not any(np.array_equal(x, a) for a in atoms.atoms):
                 return float("nan")
             return float(np.sum((x - 1.3) ** 2))
 
         with pytest.raises(NonFiniteValue):
             ord_solve(f, atoms, OrdConfig(rng_seed=0), 0)
+
+    @pytest.mark.parametrize("solver", ["ord", "dfsimplex"])
+    def test_no_off_hull_query(self, solver):
+        # the corners of [1, 2]^2 span the box itself, and the black box is
+        # undefined outside it: every query must stay in the hull
+        atoms = AtomSet(np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [2.0, 2.0]]))
+        c = np.array([1.3, 1.6])
+
+        def f(x):
+            if np.any(x < 1.0 - 1e-12) or np.any(x > 2.0 + 1e-12):
+                raise AssertionError(f"query {x!r} leaves the atoms' hull")
+            return float(np.sum((x - c) ** 2))
+
+        if solver == "ord":
+            x = ord_solve(f, atoms, OrdConfig(rng_seed=0), 0).x
+        else:
+            phi = lambda y: f(y @ atoms.atoms)
+            y = df_simplex_solve(phi, np.array([1.0, 0.0, 0.0, 0.0]), DfSimplexConfig()).y
+            x = y @ atoms.atoms
+        assert np.linalg.norm(x - c) <= 1e-2
 
     def test_start_id_validated(self):
         atoms = AtomSet(np.array([[0.0], [1.0]]))

@@ -1,18 +1,20 @@
 """Command line entry point: run benchmark suites, compute profiles, verify.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage/config error. Runs are
-deterministic under (manifest, seed, solver config); wall time is the only
+Exit codes: 0 ok, 1 a failed run (`run`) or a failed property (`verify`),
+2 usage/config error. `profile` leaves out every problem with a failed run.
+Runs are deterministic under the manifest; wall time is the only
 non-reproducible output column.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,12 +53,14 @@ class UsageError(Exception):
     """Bad manifest or arguments; maps to exit code 2."""
 
 
-def _ord_config(seed: int, options: Dict) -> OrdConfig:
+def _ord_config(options: Dict) -> OrdConfig:
     opts = dict(options)
+    if "rng_seed" in opts:
+        raise ValueError("ord.rng_seed is not an option: each run uses its manifest seed")
     inner = DfSimplexConfig(**opts.pop("inner", {}))
     if "drop_rule" in opts:
         opts["drop_rule"] = DropRule(opts["drop_rule"])
-    return OrdConfig(rng_seed=seed, inner=inner, **opts)
+    return OrdConfig(inner=inner, **opts)
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,13 @@ class SuiteConfig:
     seeds: Tuple[int, ...] = (0,)
     solvers: Tuple[str, ...] = ("ord",)
     budget_factor: int = 100
-    ord_options: Dict = field(default_factory=dict)
-    dfsimplex_options: Dict = field(default_factory=dict)
+    ord_config: OrdConfig = field(default_factory=OrdConfig)
+    dfsimplex_config: DfSimplexConfig = field(default_factory=DfSimplexConfig)
 
     def __post_init__(self):
-        if not self.pairs:
-            raise UsageError("suite needs at least one (n, m) pair")
+        for key in ("pairs", "functions", "seeds", "solvers"):
+            if not getattr(self, key):
+                raise UsageError(f"suite needs a nonempty {key!r} list")
         for n, m in self.pairs:
             if n < 1 or m < 1:
                 raise UsageError(f"invalid pair (n={n}, m={m})")
@@ -88,11 +93,6 @@ class SuiteConfig:
                     raise UsageError(f"function {name!r} does not accept n={n}")
         if self.budget_factor < 1:
             raise UsageError("budget_factor must be positive")
-        try:
-            _ord_config(0, dict(self.ord_options))
-            DfSimplexConfig(**dict(self.dfsimplex_options))
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad solver options: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "SuiteConfig":
@@ -110,8 +110,8 @@ class SuiteConfig:
                 seeds=tuple(int(s) for s in raw.get("seeds", [0])),
                 solvers=tuple(raw.get("solvers", ["ord"])),
                 budget_factor=int(raw.get("budget_factor", 100)),
-                ord_options=dict(raw.get("ord", {})),
-                dfsimplex_options=dict(raw.get("dfsimplex", {})),
+                ord_config=_ord_config(raw.get("ord", {})),
+                dfsimplex_config=DfSimplexConfig(**raw.get("dfsimplex", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad manifest {path}: {exc}") from exc
@@ -124,8 +124,8 @@ def run_one(
     seed: int,
     solver: str,
     budget_factor: int = 100,
-    ord_options: Optional[Dict] = None,
-    dfsimplex_options: Optional[Dict] = None,
+    ord_config: OrdConfig = OrdConfig(),
+    dfsimplex_config: DfSimplexConfig = DfSimplexConfig(),
 ):
     """One deterministic (problem, solver) run.
 
@@ -137,18 +137,17 @@ def run_one(
     objective = BudgetedObjective(func.value, budget=problem.budget)
     start = time.perf_counter()
     if solver == "ord":
-        cfg = _ord_config(seed, ord_options or {})
+        cfg = replace(ord_config, rng_seed=seed)
         result = ord_solve(objective, problem.atoms, cfg, problem.start_id)
         final_f = result.f
         weights = np.zeros(m)
         w = result.weights
         weights[list(w.ids)] = w.w
     elif solver == "dfsimplex":
-        cfg = DfSimplexConfig(**(dfsimplex_options or {}))
         y0 = np.zeros(m)
         y0[problem.start_id] = 1.0
         phi = lambda yv: objective(yv @ problem.atoms.atoms)  # noqa: E731
-        result = df_simplex_solve(phi, y0, cfg)
+        result = df_simplex_solve(phi, y0, dfsimplex_config)
         final_f = result.f
         weights = result.y
     else:
@@ -193,19 +192,18 @@ def _outcomes(tasks, workers: int):
         yield from map(_run_task, tasks)
 
 
-def cmd_run(manifest_path, out_dir, jobs: int = 1, seeds: Optional[Sequence[int]] = None) -> int:
+def cmd_run(manifest_path, out_dir, jobs: int = 1) -> int:
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     suite = SuiteConfig.from_json(manifest_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run_seeds = tuple(seeds) if seeds else suite.seeds
     # seed before function: the runs on one atom cloud are consecutive, so
     # bench's one-entry cloud cache generates each cloud once
     tasks = [
-        (name, n, m, seed, solver, suite.budget_factor, suite.ord_options, suite.dfsimplex_options)
+        (name, n, m, seed, solver, suite.budget_factor, suite.ord_config, suite.dfsimplex_config)
         for (n, m) in suite.pairs
-        for seed in run_seeds
+        for seed in suite.seeds
         for name in suite.functions
         for solver in suite.solvers
     ]
@@ -218,8 +216,7 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1, seeds: Optional[Sequence[int]
     for outcome in _outcomes(tasks, min(jobs, len(tasks))):
         if outcome[0] == "ok":
             problem_id, solver, trace_rows, summary = outcome[1]
-            trace_path = out / f"{problem_id}__{solver}.csv"
-            with open(trace_path, "w", newline="") as fh:
+            with open(_trace_path(out, problem_id, solver), "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(TRACE_HEADER)
                 writer.writerows(trace_rows)
@@ -241,45 +238,58 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1, seeds: Optional[Sequence[int]
     return 0 if n_failures == 0 else 1
 
 
+def _trace_path(out: Path, problem_id: str, solver: str) -> Path:
+    return out / f"{problem_id}__{solver}.csv"
+
+
+def _read_best_f(trace_path: Path) -> np.ndarray:
+    """The best_f column of one trace CSV."""
+    if not trace_path.exists():
+        raise UsageError(f"missing trace file {trace_path}")
+    header, _, body = trace_path.read_text().partition("\n")
+    if tuple(header.split(",")) != TRACE_HEADER:
+        raise UsageError(f"{trace_path}: expected header {TRACE_HEADER}")
+    if not body.strip():  # np.loadtxt only warns on an empty body
+        raise UsageError(f"{trace_path}: empty trace")
+    try:
+        return np.loadtxt(io.StringIO(body), delimiter=",", usecols=2, ndmin=1)
+    except ValueError as exc:
+        raise UsageError(f"{trace_path}: bad row: {exc}") from exc
+
+
 def load_run_records(trace_dir) -> List[profiles.RunRecord]:
-    """Rebuild profile records from a cmd_run output directory."""
+    """Rebuild profile records from a cmd_run output directory.
+
+    A problem on which any run failed is left out for every solver, since
+    the profiles compare all solvers on each problem.
+    """
     trace_dir = Path(trace_dir)
     summary_path = trace_dir / "summary.csv"
     if not summary_path.exists():
         raise UsageError(f"no summary.csv in {trace_dir}")
-    records = []
     with open(summary_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            problem_id, solver = row["problem"], row["solver"]
-            trace_path = trace_dir / f"{problem_id}__{solver}.csv"
-            if row["final_f"] == "nan" and not trace_path.exists():
-                print(f"skipping failed run {problem_id} ({solver})", file=sys.stderr)
-                continue
-            if not trace_path.exists():
-                raise UsageError(f"missing trace file {trace_path}")
-            best = []
-            with open(trace_path, newline="") as tfh:
-                treader = csv.reader(tfh)
-                header = next(treader, None)
-                if header is None or tuple(header) != TRACE_HEADER:
-                    raise UsageError(f"{trace_path}: expected header {TRACE_HEADER}")
-                for line_no, trow in enumerate(treader, start=2):
-                    try:
-                        best.append(float(trow[2]))
-                    except (IndexError, ValueError) as exc:
-                        raise UsageError(f"{trace_path}: bad row {line_no}") from exc
-            if not best:
-                raise UsageError(f"{trace_path}: empty trace")
-            records.append(
-                profiles.RunRecord(
-                    problem_id=problem_id,
-                    solver_id=solver,
-                    n_p=int(row["n"]),
-                    history=np.array(best),
-                    f0=best[0],
-                )
+        rows = list(csv.DictReader(fh))
+    failed: Dict[str, List[str]] = {}
+    for row in rows:
+        path = _trace_path(trace_dir, row["problem"], row["solver"])
+        if row["final_f"] == "nan" and not path.exists():
+            failed.setdefault(row["problem"], []).append(row["solver"])
+    for problem_id, solvers in failed.items():
+        print(f"skipping {problem_id}: failed run of {', '.join(solvers)}", file=sys.stderr)
+    records = []
+    for row in rows:
+        if row["problem"] in failed:
+            continue
+        best = _read_best_f(_trace_path(trace_dir, row["problem"], row["solver"]))
+        records.append(
+            profiles.RunRecord(
+                problem_id=row["problem"],
+                solver_id=row["solver"],
+                n_p=int(row["n"]),
+                history=best,
+                f0=float(best[0]),
             )
+        )
     if not records:
         raise UsageError(f"{trace_dir} contains no runs")
     return records
@@ -318,13 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="suite manifest (JSON)")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
-    p_run.add_argument(
-        "--seed",
-        type=int,
-        action="append",
-        default=None,
-        help="override the manifest seed list; repeatable",
-    )
 
     p_prof = sub.add_parser("profile", help="compute data/performance profiles")
     p_prof.add_argument("--traces", required=True, help="directory written by `run`")
@@ -348,7 +351,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.config, args.out, jobs=args.jobs, seeds=args.seed)
+            return cmd_run(args.config, args.out, jobs=args.jobs)
         if args.command == "profile":
             taus = args.tau if args.tau else list(profiles.DEFAULT_TAUS)
             return cmd_profile(args.traces, args.out, taus)

@@ -59,7 +59,7 @@ def first_hit_evals(history: np.ndarray, threshold: float) -> Optional[int]:
 
 
 def _solve_table(records: Sequence[RunRecord], tau: float):
-    """t[problem][solver] = first-hit evaluation count (None if unsolved)."""
+    """(solvers, t, n_p): t[p, s] is the first-hit evaluation count, inf if unsolved."""
     problems = sorted({r.problem_id for r in records})
     solvers = sorted({r.solver_id for r in records})
     by_key = {(r.problem_id, r.solver_id): r for r in records}
@@ -69,17 +69,17 @@ def _solve_table(records: Sequence[RunRecord], tau: float):
         for s in solvers:
             if (p, s) not in by_key:
                 raise ValueError(f"missing record for problem {p!r}, solver {s!r}")
-    table: Dict[str, Dict[str, Optional[int]]] = {}
-    dims: Dict[str, int] = {}
-    for p in problems:
-        f_low = min(by_key[(p, s)].best for s in solvers)
-        f0 = by_key[(p, solvers[0])].f0
-        threshold = convergence_threshold(f0, f_low, tau)
-        table[p] = {
-            s: first_hit_evals(by_key[(p, s)].history, threshold) for s in solvers
-        }
-        dims[p] = by_key[(p, solvers[0])].n_p
-    return problems, solvers, table, dims
+    t = np.full((len(problems), len(solvers)), np.inf)
+    n_p = np.empty(len(problems))
+    for i, p in enumerate(problems):
+        runs = [by_key[(p, s)] for s in solvers]
+        threshold = convergence_threshold(runs[0].f0, min(r.best for r in runs), tau)
+        for j, run in enumerate(runs):
+            hit = first_hit_evals(run.history, threshold)
+            if hit is not None:
+                t[i, j] = hit
+        n_p[i] = runs[0].n_p
+    return solvers, t, n_p
 
 
 def data_profile(
@@ -88,19 +88,9 @@ def data_profile(
     kappas: Sequence[float] = DEFAULT_KAPPAS,
 ) -> Dict[str, np.ndarray]:
     """d_s(kappa) = fraction of problems solved within kappa*(n_p+1) evaluations."""
-    problems, solvers, table, dims = _solve_table(records, tau)
-    curves = {}
-    for s in solvers:
-        curve = np.zeros(len(kappas))
-        for gi, kappa in enumerate(kappas):
-            solved = sum(
-                1
-                for p in problems
-                if table[p][s] is not None and table[p][s] <= kappa * (dims[p] + 1)
-            )
-            curve[gi] = solved / len(problems)
-        curves[s] = curve
-    return curves
+    solvers, t, n_p = _solve_table(records, tau)
+    budgets = (n_p + 1)[:, None] * np.asarray(kappas, dtype=float)
+    return {s: np.mean(t[:, j, None] <= budgets, axis=0) for j, s in enumerate(solvers)}
 
 
 def performance_profile(
@@ -109,19 +99,12 @@ def performance_profile(
     iotas: Sequence[float] = DEFAULT_IOTAS,
 ) -> Dict[str, np.ndarray]:
     """rho_s(iota) = fraction of problems where t_{p,s} <= iota * best solver's t."""
-    problems, solvers, table, _ = _solve_table(records, tau)
-    curves = {}
-    for s in solvers:
-        ratios = []
-        for p in problems:
-            hits = [table[p][s2] for s2 in solvers if table[p][s2] is not None]
-            if not hits or table[p][s] is None:
-                ratios.append(np.inf)  # unsolved by s (or by everyone): never counted
-            else:
-                ratios.append(table[p][s] / min(hits))
-        ratios = np.array(ratios)
-        curves[s] = np.array([np.mean(ratios <= iota) for iota in iotas])
-    return curves
+    solvers, t, _ = _solve_table(records, tau)
+    # a problem no solver solved gives inf/inf = nan, which no iota counts
+    with np.errstate(invalid="ignore"):
+        ratios = t / t.min(axis=1, keepdims=True)
+    grid = np.asarray(iotas, dtype=float)
+    return {s: np.mean(ratios[:, j, None] <= grid, axis=0) for j, s in enumerate(solvers)}
 
 
 def write_curves_csv(path, curves: Dict[str, np.ndarray], grid: Sequence[float]) -> None:

@@ -99,15 +99,6 @@ class TestRun:
         assert all(0.0 <= float(r["sparsity"]) <= 1.0 for r in rows)
         assert len(list(out.iterdir())) == 26  # 25 traces + summary
 
-    def test_seed_flag_overrides_manifest(self, tmp_path):
-        manifest = write_manifest(tmp_path / "suite.json", functions=["power"], seeds=[0, 1])
-        out = tmp_path / "out"
-        assert cli.main([
-            "run", "--config", str(manifest), "--out", str(out), "--seed", "7",
-        ]) == 0
-        rows = read_summary(out)
-        assert [r["seed"] for r in rows] == ["7"]
-
     def test_worker_pool_matches_sequential_output(self, tmp_path):
         manifest = write_manifest(tmp_path / "suite.json", seeds=[0, 1])
         seq, par = tmp_path / "seq", tmp_path / "par"
@@ -261,6 +252,35 @@ class TestProfile:
         assert cli.main(["profile", "--traces", str(traces), "--out", str(tmp_path / "o")]) == 2
         assert "p1__s1.csv" in capsys.readouterr().err
 
+    def test_failed_run_leaves_its_problem_out(self, tmp_path, monkeypatch, capsys):
+        original = cli.run_one
+
+        def flaky(name, n, m, seed, solver, *rest):
+            if (name, solver) == ("power", "dfsimplex"):
+                raise RuntimeError("boom")
+            return original(name, n, m, seed, solver, *rest)
+
+        monkeypatch.setattr(cli, "run_one", flaky)
+        manifest = write_manifest(tmp_path / "suite.json", solvers=["ord", "dfsimplex"])
+        traces, out = tmp_path / "traces", tmp_path / "profiles"
+        assert cli.main(["run", "--config", str(manifest), "--out", str(traces)]) == 1
+        capsys.readouterr()
+        assert cli.main(["profile", "--traces", str(traces), "--out", str(out), "--tau", "0.1"]) == 0
+        skipped = [ln for ln in capsys.readouterr().err.splitlines() if "skipping" in ln]
+        assert skipped == ["skipping power_n2_m6_seed0: failed run of dfsimplex"]
+        records = cli.load_run_records(traces)
+        assert {(r.problem_id, r.solver_id) for r in records} == {
+            ("quartc_n2_m6_seed0", "ord"), ("quartc_n2_m6_seed0", "dfsimplex"),
+        }
+
+    def test_every_problem_failed_is_an_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_one", lambda *task: 1 / 0)
+        manifest = write_manifest(tmp_path / "suite.json", functions=["power"])
+        traces = tmp_path / "traces"
+        assert cli.main(["run", "--config", str(manifest), "--out", str(traces)]) == 1
+        assert cli.main(["profile", "--traces", str(traces), "--out", str(tmp_path / "o")]) == 2
+        assert "contains no runs" in capsys.readouterr().err
+
     def test_default_tau_grid_writes_six_files(self, tmp_path):
         traces = make_trace_dir(tmp_path, {("p1", "s1"): 5})
         out = tmp_path / "profiles"
@@ -281,6 +301,10 @@ class TestSuiteConfig:
             {"ord": {"inner": {"rng_seed": 1}}},
             {"ord": {"inner": {"epsilon": 0.3}}},
             {"ord": {"memoize": True}},
+            {"functions": []},
+            {"seeds": []},
+            {"solvers": []},
+            {"ord": {"rng_seed": 1}},
         ],
     )
     def test_invalid_manifest_fields(self, tmp_path, overrides):

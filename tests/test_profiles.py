@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atomdfo.profiles import (
+    DEFAULT_IOTAS,
+    DEFAULT_KAPPAS,
     RunRecord,
     convergence_threshold,
     data_profile,
@@ -153,6 +155,94 @@ def test_curves_monotone_bounded_and_consistent(seed):
             assert np.all(np.diff(curve) >= 0.0)
         # full-range grids agree on the solved fraction
         assert d[s][-1] == rho[s][-1]
+
+
+def reference_table(records, tau):
+    """Per-problem first-hit counts (None if unsolved), computed one run at a time."""
+    problems = sorted({r.problem_id for r in records})
+    solvers = sorted({r.solver_id for r in records})
+    by_key = {(r.problem_id, r.solver_id): r for r in records}
+    table, dims = {}, {}
+    for p in problems:
+        f_low = min(by_key[(p, s)].best for s in solvers)
+        threshold = convergence_threshold(by_key[(p, solvers[0])].f0, f_low, tau)
+        table[p] = {s: first_hit_evals(by_key[(p, s)].history, threshold) for s in solvers}
+        dims[p] = by_key[(p, solvers[0])].n_p
+    return problems, solvers, table, dims
+
+
+def reference_data_profile(records, tau, kappas):
+    problems, solvers, table, dims = reference_table(records, tau)
+    curves = {}
+    for s in solvers:
+        curve = np.zeros(len(kappas))
+        for gi, kappa in enumerate(kappas):
+            solved = sum(
+                1
+                for p in problems
+                if table[p][s] is not None and table[p][s] <= kappa * (dims[p] + 1)
+            )
+            curve[gi] = solved / len(problems)
+        curves[s] = curve
+    return curves
+
+
+def reference_performance_profile(records, tau, iotas):
+    problems, solvers, table, _ = reference_table(records, tau)
+    curves = {}
+    for s in solvers:
+        ratios = []
+        for p in problems:
+            hits = [table[p][s2] for s2 in solvers if table[p][s2] is not None]
+            if not hits or table[p][s] is None:
+                ratios.append(np.inf)  # unsolved by s (or by everyone): never counted
+            else:
+                ratios.append(table[p][s] / min(hits))
+        ratios = np.array(ratios)
+        curves[s] = np.array([np.mean(ratios <= iota) for iota in iotas])
+    return curves
+
+
+def random_records(rng):
+    """Problems x solvers runs with random first hits, unsolved runs, and
+    problems no solver solves (a NaN start value fails every threshold test)."""
+    solvers = [f"s{j}" for j in range(int(rng.integers(1, 4)))]
+    recs = []
+    for p in range(int(rng.integers(1, 8))):
+        n_p = int(rng.integers(1, 12))
+        f0 = np.nan if rng.random() < 0.15 else 10.0
+        for s in solvers:
+            length = int(rng.integers(1, 80))
+            hist = np.full(length, 10.0)
+            if rng.random() < 0.8:  # otherwise the run never moves off f(x0)
+                steps = rng.choice([0.0, 0.0, 1.0], size=length) * rng.uniform(0, 3, size=length)
+                hist = np.maximum(10.0 - np.cumsum(steps), rng.uniform(-2, 2))
+            recs.append(record(f"p{p}", s, n_p, hist, f0=f0))
+    return recs
+
+
+def test_profiles_match_reference_loops():
+    kappas = list(DEFAULT_KAPPAS) + [0.5, 2.25, 7.3]
+    iotas = list(DEFAULT_IOTAS) + [1.5, 3.0]
+    all_unsolved = partly_unsolved = 0
+    for seed in range(150):
+        recs = random_records(np.random.default_rng(seed))
+        for tau in (1e-1, 1e-3, 0.5):
+            d = data_profile(recs, tau, kappas)
+            d_ref = reference_data_profile(recs, tau, kappas)
+            rho = performance_profile(recs, tau, iotas)
+            rho_ref = reference_performance_profile(recs, tau, iotas)
+            assert list(d) == list(d_ref) and list(rho) == list(rho_ref)
+            for s in d_ref:
+                assert np.array_equal(d[s], d_ref[s]), (seed, tau, s)
+                assert np.array_equal(rho[s], rho_ref[s]), (seed, tau, s)
+            _, solvers, table, _ = reference_table(recs, tau)
+            for hits in table.values():
+                unsolved = sum(hits[s] is None for s in solvers)
+                all_unsolved += unsolved == len(solvers)
+                partly_unsolved += 0 < unsolved < len(solvers)
+    # the random sets reach both kinds of unsolved problem
+    assert all_unsolved > 0 and partly_unsolved > 0
 
 
 def test_write_curves_format(tmp_path):

@@ -39,7 +39,7 @@ def _arwhead(x):
     # ARWHEAD (CUTEst): sum (x_i^2 + x_n^2)^2 - 4 x_i + 3 over i < n
     head, tail = x[:-1], x[-1]
     t = head**2 + tail**2
-    return float(np.sum(t**2 - 4.0 * head + 3.0))
+    return float((t**2 - 4.0 * head + 3.0).sum())
 
 
 def _arwhead_grad(x):
@@ -47,14 +47,14 @@ def _arwhead_grad(x):
     t = head**2 + tail**2
     g = np.zeros_like(x)
     g[:-1] = 4.0 * t * head - 4.0
-    g[-1] = 4.0 * tail * np.sum(t)
+    g[-1] = 4.0 * tail * t.sum()
     return g
 
 
 def _cosine(x):
     # COSINE (CUTEst): sum cos(x_i^2 - 0.5 x_{i+1})
     u = x[:-1] ** 2 - 0.5 * x[1:]
-    return float(np.sum(np.cos(u)))
+    return float(np.cos(u).sum())
 
 
 def _cosine_grad(x):
@@ -68,7 +68,7 @@ def _cosine_grad(x):
 def _sine(x):
     # SINE: sine analogue of COSINE, sum sin(x_i^2 - 0.5 x_{i+1})
     u = x[:-1] ** 2 - 0.5 * x[1:]
-    return float(np.sum(np.sin(u)))
+    return float(np.sin(u).sum())
 
 
 def _sine_grad(x):
@@ -82,7 +82,7 @@ def _sine_grad(x):
 def _cube(x):
     # CUBE: (x_1 - 1)^2 + 100 sum (x_i - x_{i-1}^3)^2
     r = x[1:] - x[:-1] ** 3
-    return float((x[0] - 1.0) ** 2 + 100.0 * np.sum(r**2))
+    return float((x[0] - 1.0) ** 2 + 100.0 * (r**2).sum())
 
 
 def _cube_grad(x):
@@ -96,7 +96,7 @@ def _cube_grad(x):
 
 def _diagonal8(x):
     # Diagonal 8 (Andrei): sum x_i exp(x_i) - 2 x_i - x_i^2
-    return float(np.sum(x * np.exp(x) - 2.0 * x - x**2))
+    return float((x * np.exp(x) - 2.0 * x - x**2).sum())
 
 
 def _diagonal8_grad(x):
@@ -105,12 +105,12 @@ def _diagonal8_grad(x):
 
 def _ext_penalty(x):
     # Extended penalty (Andrei): sum_{i<n} (x_i - 1)^2 + (sum x_j^2 - 0.25)^2
-    t = float(np.sum(x**2) - 0.25)
-    return float(np.sum((x[:-1] - 1.0) ** 2) + t**2)
+    t = float((x**2).sum() - 0.25)
+    return float(((x[:-1] - 1.0) ** 2).sum() + t**2)
 
 
 def _ext_penalty_grad(x):
-    t = float(np.sum(x**2) - 0.25)
+    t = float((x**2).sum() - 0.25)
     g = 4.0 * t * x
     g[:-1] += 2.0 * (x[:-1] - 1.0)
     return g
@@ -120,21 +120,21 @@ def _ext_trigonometric(x):
     # Extended trigonometric (Andrei): residuals over the full cosine sum
     n = len(x)
     i = np.arange(1, n + 1)
-    r = (n - np.sum(np.cos(x))) + i * (1.0 - np.cos(x)) - np.sin(x)
-    return float(np.sum(r**2))
+    r = (n - np.cos(x).sum()) + i * (1.0 - np.cos(x)) - np.sin(x)
+    return float((r**2).sum())
 
 
 def _ext_trigonometric_grad(x):
     n = len(x)
     i = np.arange(1, n + 1)
-    r = (n - np.sum(np.cos(x))) + i * (1.0 - np.cos(x)) - np.sin(x)
-    return 2.0 * np.sin(x) * np.sum(r) + 2.0 * r * (i * np.sin(x) - np.cos(x))
+    r = (n - np.cos(x).sum()) + i * (1.0 - np.cos(x)) - np.sin(x)
+    return 2.0 * np.sin(x) * r.sum() + 2.0 * r * (i * np.sin(x) - np.cos(x))
 
 
 def _fletchcr(x):
     # FLETCHCR (CUTEst): 100 sum (x_{i+1} - x_i + 1 - x_i^2)^2
     r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-    return float(100.0 * np.sum(r**2))
+    return float(100.0 * (r**2).sum())
 
 
 def _fletchcr_grad(x):
@@ -148,7 +148,7 @@ def _fletchcr_grad(x):
 def _genhumps(x):
     # GENHUMPS (CUTEst): sum sin(2x_i)^2 sin(2x_{i+1})^2 + 0.05 (x_i^2 + x_{i+1}^2)
     s = np.sin(2.0 * x)
-    return float(np.sum(s[:-1] ** 2 * s[1:] ** 2 + 0.05 * (x[:-1] ** 2 + x[1:] ** 2)))
+    return float((s[:-1] ** 2 * s[1:] ** 2 + 0.05 * (x[:-1] ** 2 + x[1:] ** 2)).sum())
 
 
 def _genhumps_grad(x):
@@ -163,7 +163,7 @@ def _genhumps_grad(x):
 def _mccormck(x):
     # MCCORMCK (CUTEst): sum -1.5 x_i + 2.5 x_{i+1} + 1 + (x_i - x_{i+1})^2 + sin(x_i + x_{i+1})
     u, v = x[:-1], x[1:]
-    return float(np.sum(-1.5 * u + 2.5 * v + 1.0 + (u - v) ** 2 + np.sin(u + v)))
+    return float((-1.5 * u + 2.5 * v + 1.0 + (u - v) ** 2 + np.sin(u + v)).sum())
 
 
 def _mccormck_grad(x):
@@ -178,7 +178,7 @@ def _mccormck_grad(x):
 def _power(x):
     # Power (Andrei): sum (i x_i)^2
     i = np.arange(1, len(x) + 1)
-    return float(np.sum((i * x) ** 2))
+    return float(((i * x) ** 2).sum())
 
 
 def _power_grad(x):
@@ -189,7 +189,7 @@ def _power_grad(x):
 def _quartc(x):
     # QUARTC (CUTEst): sum (x_i - i)^4
     i = np.arange(1, len(x) + 1)
-    return float(np.sum((x - i) ** 4))
+    return float(((x - i) ** 4).sum())
 
 
 def _quartc_grad(x):
@@ -201,7 +201,7 @@ def _staircase1(x):
     # Staircase S1 (Andrei): sum (s_i - i)^2 with s_i the cumulative sum
     s = np.cumsum(x)
     i = np.arange(1, len(x) + 1)
-    return float(np.sum((s - i) ** 2))
+    return float(((s - i) ** 2).sum())
 
 
 def _staircase1_grad(x):
@@ -215,7 +215,7 @@ def _staircase2(x):
     # Staircase S2 (Andrei): sum (s_i - 2i)^2 with s_i the cumulative sum
     s = np.cumsum(x)
     i = np.arange(1, len(x) + 1)
-    return float(np.sum((s - 2.0 * i) ** 2))
+    return float(((s - 2.0 * i) ** 2).sum())
 
 
 def _staircase2_grad(x):
@@ -233,7 +233,7 @@ def _ext_beale(x):
     r1 = 1.5 - u * (1.0 - v)
     r2 = 2.25 - u * (1.0 - v**2)
     r3 = 2.625 - u * (1.0 - v**3)
-    return float(np.sum(r1**2 + r2**2 + r3**2))
+    return float((r1**2 + r2**2 + r3**2).sum())
 
 
 def _ext_beale_grad(x):
@@ -250,7 +250,7 @@ def _ext_beale_grad(x):
 def _ext_cliff(x):
     # Extended Cliff: ((u-3)/100)^2 - (u-v) + exp(20(u-v)) per pair
     u, v = _pairs(x)
-    return float(np.sum(((u - 3.0) / 100.0) ** 2 - (u - v) + np.exp(20.0 * (u - v))))
+    return float((((u - 3.0) / 100.0) ** 2 - (u - v) + np.exp(20.0 * (u - v))).sum())
 
 
 def _ext_cliff_grad(x):
@@ -264,7 +264,7 @@ def _ext_cliff_grad(x):
 
 def _ext_denschnb(x):
     u, v = _pairs(x)
-    return float(np.sum((u - 2.0) ** 2 + ((u - 2.0) ** 2) * v**2 + (v + 1.0) ** 2))
+    return float(((u - 2.0) ** 2 + ((u - 2.0) ** 2) * v**2 + (v + 1.0) ** 2).sum())
 
 
 def _ext_denschnb_grad(x):
@@ -279,7 +279,7 @@ def _ext_denschnf(x):
     u, v = _pairs(x)
     r1 = 2.0 * (u + v) ** 2 + (u - v) ** 2 - 8.0
     r2 = 5.0 * u**2 + (v - 3.0) ** 2 - 9.0
-    return float(np.sum(r1**2 + r2**2))
+    return float((r1**2 + r2**2).sum())
 
 
 def _ext_denschnf_grad(x):
@@ -296,7 +296,7 @@ def _ext_freudenstein_roth(x):
     u, v = _pairs(x)
     r1 = -13.0 + u + ((5.0 - v) * v - 2.0) * v
     r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
-    return float(np.sum(r1**2 + r2**2))
+    return float((r1**2 + r2**2).sum())
 
 
 def _ext_freudenstein_roth_grad(x):
@@ -313,7 +313,7 @@ def _ext_freudenstein_roth_grad(x):
 
 def _ext_hiebert(x):
     u, v = _pairs(x)
-    return float(np.sum((u - 10.0) ** 2 + (u * v - 50000.0) ** 2))
+    return float(((u - 10.0) ** 2 + (u * v - 50000.0) ** 2).sum())
 
 
 def _ext_hiebert_grad(x):
@@ -328,7 +328,7 @@ def _ext_himmelblau(x):
     u, v = _pairs(x)
     r1 = u**2 + v - 11.0
     r2 = u + v**2 - 7.0
-    return float(np.sum(r1**2 + r2**2))
+    return float((r1**2 + r2**2).sum())
 
 
 def _ext_himmelblau_grad(x):
@@ -344,7 +344,7 @@ def _ext_himmelblau_grad(x):
 def _ext_maratos(x):
     u, v = _pairs(x)
     t = u**2 + v**2 - 1.0
-    return float(np.sum(u + 100.0 * t**2))
+    return float((u + 100.0 * t**2).sum())
 
 
 def _ext_maratos_grad(x):
@@ -359,7 +359,7 @@ def _ext_maratos_grad(x):
 def _ext_psc1(x):
     u, v = _pairs(x)
     t = u**2 + v**2 + u * v
-    return float(np.sum(t**2 + np.sin(u) ** 2 + np.cos(v) ** 2))
+    return float((t**2 + np.sin(u) ** 2 + np.cos(v) ** 2).sum())
 
 
 def _ext_psc1_grad(x):
@@ -373,7 +373,7 @@ def _ext_psc1_grad(x):
 
 def _ext_rosenbrock(x):
     u, v = _pairs(x)
-    return float(np.sum(100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2))
+    return float((100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2).sum())
 
 
 def _ext_rosenbrock_grad(x):
@@ -386,7 +386,7 @@ def _ext_rosenbrock_grad(x):
 
 def _ext_white_holst(x):
     u, v = _pairs(x)
-    return float(np.sum(100.0 * (v - u**3) ** 2 + (1.0 - u) ** 2))
+    return float((100.0 * (v - u**3) ** 2 + (1.0 - u) ** 2).sum())
 
 
 def _ext_white_holst_grad(x):
@@ -491,6 +491,11 @@ def random_vertex_start(m: int, seed=None) -> int:
     return int(np.random.default_rng(seed).integers(0, m))
 
 
+def problem_id(name: str, n: int, m: int, seed: int) -> str:
+    """The id of the problem make_problem(name, n, m, seed) builds."""
+    return f"{name}_n{n}_m{m}_seed{seed}"
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """One benchmark problem: a catalog function over a random atom cloud.
@@ -510,7 +515,7 @@ class ProblemInstance:
 
     @property
     def problem_id(self) -> str:
-        return f"{self.function_name}_n{self.n}_m{self.m}_seed{self.seed}"
+        return problem_id(self.function_name, self.n, self.m, self.seed)
 
 
 # Callers ask for one cloud's problems back to back (every catalog function

@@ -225,7 +225,7 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1) -> int:
         else:
             _, task, message = outcome
             name, n, m, seed, solver = task[:5]
-            problem_id = f"{name}_n{n}_m{m}_seed{seed}"
+            problem_id = bench.problem_id(name, n, m, seed)
             print(f"run failed for {problem_id} ({solver}): {message}", file=sys.stderr)
             summary_rows.append((problem_id, solver, n, m, seed, "nan", 0, "nan", "nan"))
             n_failures += 1

@@ -1,10 +1,11 @@
 """Shared domain types: atom sets, simplex points, budgeted objectives, solver configs."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,15 +98,25 @@ class SimplexWeights:
 
 
 def exchange_point(z: np.ndarray, sign: int, i: int, j: int, step: float) -> np.ndarray:
-    """The point z + step*sign*(e_i - e_j), with rounding noise clamped to 0."""
+    """The point z + step*sign*(e_i - e_j), i != j, with rounding noise clamped to 0.
+
+    The two changed coordinates are computed on Python floats, the same IEEE
+    operations as on float64 array entries, and stored once.
+    """
     out = np.array(z, dtype=float)
-    out[i] += sign * step
-    out[j] -= sign * step
-    for h in (i, j):
-        if out[h] < 0.0:
-            if out[h] <= NEG_CLAMP:
-                raise ValueError(f"infeasible exchange step {step} at coordinate {h}")
-            out[h] = 0.0
+    d = sign * step
+    zi = out.item(i) + d
+    zj = out.item(j) - d
+    if zi < 0.0:
+        if zi <= NEG_CLAMP:
+            raise ValueError(f"infeasible exchange step {step} at coordinate {i}")
+        zi = 0.0
+    if zj < 0.0:
+        if zj <= NEG_CLAMP:
+            raise ValueError(f"infeasible exchange step {step} at coordinate {j}")
+        zj = 0.0
+    out[i] = zi
+    out[j] = zj
     return out
 
 
@@ -117,11 +128,12 @@ def is_simplex_point(w: np.ndarray, sum_tol: float = SUM_TOL) -> bool:
 class BudgetedObjective:
     """A black-box objective with evaluation counting and budget enforcement.
 
-    Every call increments ``eval_count`` by exactly one and appends
-    ``(eval_index, f_value, best_so_far)`` to ``trace``. A call beyond the
-    budget raises :class:`BudgetExhausted` without consulting the black box;
-    a NaN/inf value raises :class:`NonFiniteValue`. One instance belongs to
-    one solver run at a time.
+    Every call appends its value to ``values``, so ``eval_count`` grows by
+    exactly one; ``trace`` derives the ``(eval_index, f_value, best_so_far)``
+    rows from ``values`` when it is read. A call beyond the budget raises
+    :class:`BudgetExhausted` without consulting the black box and leaves
+    ``values`` unchanged; a NaN/inf value raises :class:`NonFiniteValue`. One
+    instance belongs to one solver run at a time.
     """
 
     def __init__(self, func: Callable[[np.ndarray], float], budget: Optional[int] = None):
@@ -129,20 +141,25 @@ class BudgetedObjective:
             raise ValueError(f"budget must be positive, got {budget}")
         self.func = func
         self.budget = budget
-        self.eval_count = 0
-        self.trace: list = []
-        self._best = np.inf
+        self.values: List[float] = []
+
+    @property
+    def eval_count(self) -> int:
+        return len(self.values)
+
+    @property
+    def trace(self) -> List[Tuple[int, float, float]]:
+        # min keeps the earlier value on ties, as a strict < update would
+        best = itertools.accumulate(self.values, min)
+        return list(zip(itertools.count(1), self.values, best))
 
     def __call__(self, x: np.ndarray) -> float:
-        if self.budget is not None and self.eval_count >= self.budget:
+        if self.budget is not None and len(self.values) >= self.budget:
             raise BudgetExhausted(f"budget of {self.budget} evaluations exhausted")
         value = float(self.func(x))
         if not math.isfinite(value):
             raise NonFiniteValue(f"objective returned {value} at x={x!r}")
-        self.eval_count += 1
-        if value < self._best:
-            self._best = value
-        self.trace.append((self.eval_count, value, self._best))
+        self.values.append(value)
         return value
 
 

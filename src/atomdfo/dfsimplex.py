@@ -31,7 +31,12 @@ def choose_pivot(y: np.ndarray) -> int:
 
 @dataclass
 class DfSimplexState:
-    """The running state; df_simplex_solve returns the one that stopped."""
+    """The running state; df_simplex_solve returns the one that stopped.
+
+    ``samples`` holds the most recent iteration's probes, which ORD fits its
+    drop gradient to. A BUDGET stop carries none: its sweep was cut short,
+    and ORD returns before any fit.
+    """
 
     y: np.ndarray
     f: float
@@ -57,12 +62,14 @@ def df_simplex_iterate(
     """
     y = state.y
     m = len(y)
-    ah = state.alpha_hat
+    # stepsizes on Python floats: the same IEEE operations as on float64 entries
+    ah = state.alpha_hat.tolist()
+    gamma, delta, theta, eps = cfg.gamma, cfg.delta, cfg.theta, cfg.epsilon
     j = choose_pivot(y)
 
     z = y.copy()
     f_z = state.f
-    new_ah = ah.copy()
+    new_ah = list(ah)
     samples: List[Tuple[np.ndarray, float]] = []
     moved = False
     stop = None
@@ -71,31 +78,32 @@ def df_simplex_iterate(
         if i == j:
             continue
         try:
-            out = line_search(phi, z, f_z, i, j, float(ah[i]), cfg.gamma, cfg.delta)
+            out = line_search(phi, z, f_z, i, j, ah[i], gamma, delta)
         except BudgetExhausted:
             stop = StopReason.BUDGET
+            samples = []
             break
         samples.extend(out.samples)
         if out.alpha > 0.0:
             # Floor the success update too: the feasibility bound can truncate
             # the accepted step below epsilon, and alpha_hat >= epsilon must
             # hold at all times for the stopping condition to stay reachable.
-            new_ah[i] = max(out.alpha, cfg.epsilon)
+            new_ah[i] = max(out.alpha, eps)
             z, f_z = out.z, out.f_new
             moved = True
         else:
-            new_ah[i] = max(cfg.theta * ah[i], cfg.epsilon)
+            new_ah[i] = max(theta * ah[i], eps)
 
     if stop is None:
-        if not moved and (m == 1 or np.all(ah == cfg.epsilon)):
+        if not moved and (m == 1 or all(a == eps for a in ah)):
             stop = StopReason.TOLERANCE
         # min of every updated stepsize and the old pivot one (the sweep skips j)
-        new_ah[j] = max(float(new_ah.min()), cfg.epsilon)
+        new_ah[j] = max(min(new_ah), eps)
 
     return DfSimplexState(
         y=z,
         f=f_z,
-        alpha_hat=new_ah,
+        alpha_hat=np.array(new_ah),
         iterations=state.iterations + 1,
         samples=samples,
         stop=stop,

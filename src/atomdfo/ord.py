@@ -220,7 +220,9 @@ def ord_solve(
 
     Every evaluated point lies in conv(atoms), up to rounding: the inner
     solves probe the active subset's hull, refine probes a segment toward an
-    atom, and the gradient-filtered drop rule reuses the inner samples.
+    atom, and the gradient-filtered drop rule reuses the inner samples. That
+    rule fits its gradient only on iterations where an active atom has zero
+    weight, since otherwise it drops nothing whatever the gradient is.
 
     Evaluations are counted by one BudgetedObjective: ``f`` itself when it is
     one, else a budgetless wrapper around it. Either way a NaN/inf value raises
@@ -276,7 +278,8 @@ def ord_solve(
         )
 
         gradient = None  # None drops by the plain zero-weight rule
-        if cfg.drop_rule is DropRule.GRADIENT_FILTERED:
+        # with no zero weight nothing is droppable whatever g is, so skip the fit
+        if cfg.drop_rule is DropRule.GRADIENT_FILTERED and (y_bar <= ZERO_TOL).any():
             try:
                 gradient = simplex_gradient(inner.samples, y_bar, f_bar)
             except PoisednessFailure:

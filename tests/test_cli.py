@@ -185,6 +185,20 @@ class TestRun:
         assert sum(1 for r in rows if r["final_f"] == "nan") == 1
         assert "boom" in capsys.readouterr().err
 
+    def test_failed_run_id_is_the_problem_id(self, tmp_path, monkeypatch):
+        def failing(name, n, m, seed, *rest):
+            if name == "quartc" and seed == 1:
+                raise RuntimeError("boom")
+            return original(name, n, m, seed, *rest)
+
+        original = cli.run_one
+        monkeypatch.setattr(cli, "run_one", failing)
+        manifest = write_manifest(tmp_path / "suite.json", seeds=[0, 1])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(manifest), "--out", str(out)]) == 1
+        failed = [r["problem"] for r in read_summary(out) if r["final_f"] == "nan"]
+        assert failed == [bench.make_problem("quartc", 2, 6, 1).problem_id]
+
 
 def make_trace_dir(tmp_path, t_by_run, length=40, n=5):
     """Hand-build a cmd_run-shaped output directory with known first-hit times."""

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +11,7 @@ from atomdfo.core import (
     BudgetExhausted,
     DfSimplexConfig,
     DropRule,
+    NEG_CLAMP,
     NonFiniteValue,
     OrdConfig,
     SimplexWeights,
@@ -87,6 +89,39 @@ class TestFeasibleStepBound:
         beyond[j] -= bound + 1e-9
         assert not is_simplex_point(beyond)
 
+    @given(st.integers(0, 10**9))
+    def test_bitwise_equal_to_the_vector_update(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 12))
+        z = rng.dirichlet(np.ones(m))
+        i, j = (int(h) for h in rng.permutation(m)[:2])
+        sign = int(rng.choice([-1, 1]))
+        # a feasible step: at most the coordinate that the direction empties
+        step = float(rng.uniform(0.0, 1.0) * z[j if sign > 0 else i])
+        d = np.zeros(m)
+        d[i], d[j] = 1.0, -1.0
+        expected = z + sign * step * d
+        assert exchange_point(z, sign, i, j, step).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_rounding_noise_clamped_to_zero(self, sign):
+        z = np.array([0.2, 0.1, 0.7])
+        i, j = 2, 1
+        emptied = j if sign > 0 else i
+        step = float(np.nextafter(z[emptied], 1.0))  # one ulp past the bound
+        assert NEG_CLAMP < z[emptied] - step < 0.0
+        out = exchange_point(z, sign, i, j, step)
+        assert out[emptied] == 0.0 and math.copysign(1.0, out[emptied]) == 1.0
+        assert out[0] == z[0]
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("excess", [-NEG_CLAMP, 1e-9])
+    def test_infeasible_below_the_clamp_raises(self, sign, excess):
+        z = np.array([0.0, 0.0, 1.0])
+        i, j = 0, 1  # the emptied coordinate is 0.0, so it lands at -excess
+        with pytest.raises(ValueError, match="infeasible exchange step"):
+            exchange_point(z, sign, i, j, excess)
+
 
 class TestBudgetedObjective:
     def test_counts_and_zero(self):
@@ -134,6 +169,53 @@ class TestBudgetedObjective:
         best = [row[2] for row in obj.trace]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
         assert best == list(np.minimum.accumulate(values))
+
+
+class TestBudgetedObjectiveLedger:
+    """``trace`` is derived from ``values``: (k, v, running min) rows."""
+
+    @staticmethod
+    def _strict_min_rows(values):
+        # the row builder the ledger replaces: a strict < update from +inf
+        rows, best = [], np.inf
+        for k, v in enumerate(values, start=1):
+            if v < best:
+                best = v
+            rows.append((k, v, best))
+        return rows
+
+    @staticmethod
+    def _run(values, budget=None):
+        it = iter(values)
+        obj = BudgetedObjective(lambda x: next(it), budget=budget)
+        for _ in values:
+            obj(np.zeros(1))
+        return obj
+
+    def test_rows_with_ties_and_signed_zeros(self):
+        values = [3.0, 0.0, -0.0, 0.0, 2.0, -1.0, -1.0, -0.0]
+        obj = self._run(values)
+        assert obj.values == values
+        rows = obj.trace
+        assert rows == self._strict_min_rows(values)
+        # a tie keeps the earlier value: +0.0 stays the best over the -0.0 after it
+        assert [math.copysign(1.0, best) for _, _, best in rows[1:5]] == [1.0] * 4
+        assert [math.copysign(1.0, v) for _, v, _ in rows] == [
+            math.copysign(1.0, v) for v in values
+        ]
+
+    def test_refused_call_leaves_values_unchanged(self):
+        obj = self._run([2.0, 1.0], budget=2)
+        with pytest.raises(BudgetExhausted):
+            obj(np.zeros(1))
+        assert obj.values == [2.0, 1.0]
+        assert obj.eval_count == 2
+        assert obj.trace == [(1, 2.0, 2.0), (2, 1.0, 1.0)]
+
+    def test_trace_is_read_only(self):
+        obj = self._run([1.0])
+        with pytest.raises(AttributeError):
+            obj.trace = []
 
 
 class TestAtomSet:

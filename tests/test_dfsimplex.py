@@ -147,6 +147,18 @@ class TestSolve:
         assert res.stop is StopReason.BUDGET
         assert obj.eval_count == 7
 
+    def test_budget_stop_carries_no_samples(self):
+        # this budget runs out mid-sweep, after earlier line searches of the
+        # sweep have probed: the cut-short sweep's probes are dropped, while a
+        # tolerance stop keeps its own
+        obj = BudgetedObjective(lambda x: float(np.sum(x**2)), budget=11)
+        res = df_simplex_solve(obj, np.full(4, 0.25), DfSimplexConfig())
+        assert res.stop is StopReason.BUDGET
+        assert res.samples == []
+        res = df_simplex_solve(lambda y: float(np.sum(y**2)), np.full(4, 0.25), DfSimplexConfig())
+        assert res.stop is StopReason.TOLERANCE
+        assert res.samples
+
     def test_monotone_and_feasible_all_probes(self):
         rng = np.random.default_rng(3)
         cfg = DfSimplexConfig(epsilon=1e-3)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import atomdfo.ord
 from atomdfo.core import (
     AtomSet,
     BudgetedObjective,
@@ -9,6 +10,7 @@ from atomdfo.core import (
     DropRule,
     NonFiniteValue,
     OrdConfig,
+    ZERO_TOL,
     is_simplex_point,
 )
 from atomdfo.dfsimplex import df_simplex_solve
@@ -344,6 +346,27 @@ class TestOrdSolve:
             y = df_simplex_solve(phi, np.array([1.0, 0.0, 0.0, 0.0]), DfSimplexConfig()).y
             x = y @ atoms.atoms
         assert np.linalg.norm(x - c) <= 1e-2
+
+    def test_gradient_fitted_only_when_a_weight_is_zero(self, monkeypatch):
+        # without a zero weight drop_phase drops nothing whatever g is, so
+        # the fit is skipped; with one, it is fitted exactly once
+        calls = []
+
+        def counting(samples, y_bar, f_bar):
+            calls.append(y_bar)
+            return simplex_gradient(samples, y_bar, f_bar)
+
+        monkeypatch.setattr(atomdfo.ord, "simplex_gradient", counting)
+        rng = np.random.default_rng(4)
+        atoms = AtomSet(rng.uniform(0, 10, (30, 4)))
+        c = atoms.atoms[:6].mean(axis=0)
+        f = lambda x: float(np.sum((x - c) ** 2))
+        records = []
+        ord_solve(f, atoms, OrdConfig(rng_seed=1), 0, sink=records.append)
+        with_zero = [rec for rec in records if (rec.y_bar <= ZERO_TOL).any()]
+        assert 0 < len(with_zero) < len(records)
+        assert len(calls) == len(with_zero)
+        assert all(a is rec.y_bar for a, rec in zip(calls, with_zero))
 
     def test_start_id_validated(self):
         atoms = AtomSet(np.array([[0.0], [1.0]]))

@@ -129,8 +129,8 @@ def run_one(
 ):
     """One deterministic (problem, solver) run.
 
-    Returns (problem, objective-history rows, summary row values, weights
-    sparsity); picklable arguments so suites can fan out to worker processes.
+    Returns (problem id, solver, trace CSV text, summary row values);
+    picklable arguments so suites can fan out to worker processes.
     """
     problem = bench.make_problem(name, n, m, seed, budget_factor)
     func = bench.make_test_function(name, n)
@@ -154,10 +154,6 @@ def run_one(
         raise UsageError(f"unknown solver {solver!r}")
     seconds = time.perf_counter() - start
     sparsity = float(np.mean(weights <= ZERO_TOL))
-    trace_rows = [
-        (idx, f"{val:.17g}", f"{best:.17g}")
-        for (idx, val, best) in objective.trace
-    ]
     summary = (
         problem.problem_id,
         solver,
@@ -169,7 +165,25 @@ def run_one(
         f"{sparsity:.17g}",
         f"{seconds:.6f}",
     )
-    return problem.problem_id, solver, trace_rows, summary
+    return problem.problem_id, solver, trace_csv(objective.values), summary
+
+
+def trace_csv(values: Sequence[float]) -> str:
+    """The trace CSV of one run's values: header, then one `eval,f,best_f` row each.
+
+    The bytes csv.writer writes for BudgetedObjective.trace, rows ending in
+    CRLF, with each value formatted once: best_f repeats the text of the
+    running minimum, which keeps the earlier value on a tie.
+    """
+    lines = [",".join(TRACE_HEADER)]
+    best = best_text = None
+    for k, value in enumerate(values, 1):
+        text = f"{value:.17g}"
+        if best is None or value < best:
+            best, best_text = value, text
+        lines.append(f"{k},{text},{best_text}")
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def _run_task(task):
@@ -215,11 +229,9 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1) -> int:
     n_traces = 0
     for outcome in _outcomes(tasks, min(jobs, len(tasks))):
         if outcome[0] == "ok":
-            problem_id, solver, trace_rows, summary = outcome[1]
+            problem_id, solver, trace, summary = outcome[1]
             with open(_trace_path(out, problem_id, solver), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(TRACE_HEADER)
-                writer.writerows(trace_rows)
+                fh.write(trace)
             summary_rows.append(summary)
             n_traces += 1
         else:

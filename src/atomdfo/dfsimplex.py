@@ -68,6 +68,7 @@ def df_simplex_iterate(
     j = choose_pivot(y)
 
     z = y.copy()
+    z_j = z.item(j)  # the forward feasibility bound of every search
     f_z = state.f
     new_ah = list(ah)
     samples: List[Tuple[np.ndarray, float]] = []
@@ -76,6 +77,10 @@ def df_simplex_iterate(
 
     for i in range(m):
         if i == j:
+            continue
+        if z_j <= 0.0 and z.item(i) <= 0.0:
+            # both feasibility bounds are zero: the search would make no probe
+            new_ah[i] = max(theta * ah[i], eps)
             continue
         try:
             out = line_search(phi, z, f_z, i, j, ah[i], gamma, delta)
@@ -90,6 +95,7 @@ def df_simplex_iterate(
             # hold at all times for the stopping condition to stay reachable.
             new_ah[i] = max(out.alpha, eps)
             z, f_z = out.z, out.f_new
+            z_j = z.item(j)
             moved = True
         else:
             new_ah[i] = max(theta * ah[i], eps)

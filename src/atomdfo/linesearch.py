@@ -54,27 +54,25 @@ def line_search(
     if alpha_hat <= 0.0:
         raise ValueError(f"alpha_hat must be positive, got {alpha_hat}")
     samples: List[Tuple[np.ndarray, float]] = []
-
-    def probe(sign: int, step: float) -> Tuple[np.ndarray, float, bool]:
-        point = exchange_point(z, sign, i, j, step)
-        value = phi(point)
-        samples.append((point, value))
-        return point, value, value <= f_z - gamma * step * step
-
     # The feasibility bound is z_j along +(e_i - e_j) and z_i along its reverse.
     for sign, bound in ((+1, float(z[j])), (-1, float(z[i]))):
         alpha = min(bound, alpha_hat)
         if alpha <= 0.0:
             continue
-        z_new, f_new, accepted = probe(sign, alpha)
-        if not accepted:
+        z_new = exchange_point(z, sign, i, j, alpha)
+        f_new = phi(z_new)
+        samples.append((z_new, f_new))
+        # written as `not <=` so that a NaN value fails the test
+        if not f_new <= f_z - gamma * alpha * alpha:
             continue
         # Expansion: grow alpha by 1/delta while the sufficient decrease holds,
         # never past the feasibility bound.
         while alpha < bound:
             beta = min(bound, alpha / delta)
-            z_beta, f_beta, accepted = probe(sign, beta)
-            if not accepted:
+            z_beta = exchange_point(z, sign, i, j, beta)
+            f_beta = phi(z_beta)
+            samples.append((z_beta, f_beta))
+            if not f_beta <= f_z - gamma * beta * beta:
                 break
             alpha, z_new, f_new = beta, z_beta, f_beta
         return LineSearchOutcome(alpha, sign, f_new, z_new, samples)

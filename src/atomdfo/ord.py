@@ -26,6 +26,13 @@ from .dfsimplex import StopReason as InnerStop
 from .dfsimplex import df_simplex_solve
 
 
+# Refine builds trial points in blocks that double from the first size to the
+# cap: a sweep that succeeds early builds few unused rows, a long one makes few
+# numpy calls, and a block holds at most REFINE_BLOCK_MAX rows.
+REFINE_BLOCK_MIN = 8
+REFINE_BLOCK_MAX = 256
+
+
 class PoisednessFailure(Exception):
     """The sample set does not span enough directions for a gradient estimate."""
 
@@ -92,19 +99,27 @@ def refine_phase(
     against a large f_bar, and a zero-decrease step could cycle with the drop
     rule. The first success wins. The seeded permutation is over positions in
     ``candidates``, so their order matters.
+
+    Trial points are built a block of rows at a time, with the same
+    elementwise operations as one row at a time, and still evaluated one by
+    one; the accepted point is copied out of its block.
     """
-    order = rng.permutation(len(candidates))
+    ids = np.asarray(candidates, dtype=np.intp)[rng.permutation(len(candidates))]
+    threshold = f_bar - gamma * mu_hat * mu_hat
     tried = 0
-    for idx in order:
-        atom_id = int(candidates[idx])
-        trial = x_bar + mu_hat * (atoms.atoms[atom_id] - x_bar)
-        try:
-            f_trial = f(trial)
-        except BudgetExhausted:
-            return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
-        tried += 1
-        if f_trial < f_bar and f_trial <= f_bar - gamma * mu_hat * mu_hat:
-            return RefineOutcome(atom_id, trial, f_trial, tried)
+    size = REFINE_BLOCK_MIN
+    while tried < len(ids):
+        block = ids[tried:tried + size]
+        trials = x_bar + mu_hat * (atoms.atoms[block] - x_bar)
+        for row, trial in enumerate(trials):
+            try:
+                f_trial = f(trial)
+            except BudgetExhausted:
+                return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
+            tried += 1
+            if f_trial < f_bar and f_trial <= threshold:
+                return RefineOutcome(int(block[row]), trial.copy(), f_trial, tried)
+        size = min(2 * size, REFINE_BLOCK_MAX)
     return RefineOutcome(None, None, f_bar, tried)
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from atomdfo import bench, cli
 from atomdfo.analysis import PropertyReport
+from atomdfo.core import BudgetedObjective
 
 
 def write_manifest(path, **overrides):
@@ -147,9 +149,9 @@ class TestRun:
         def watched(*args):
             traces = sum((out / f"{pid}__{solver}.csv").is_file() for pid, solver in finished)
             seen.append((len(finished), traces, (out / "summary.csv").exists()))
-            problem_id, solver, trace_rows, summary = original(*args)
+            problem_id, solver, trace, summary = original(*args)
             finished.append((problem_id, solver))
-            return problem_id, solver, trace_rows, summary
+            return problem_id, solver, trace, summary
 
         monkeypatch.setattr(cli, "run_one", watched)
         manifest = write_manifest(tmp_path / "suite.json")
@@ -198,6 +200,46 @@ class TestRun:
         assert cli.main(["run", "--config", str(manifest), "--out", str(out)]) == 1
         failed = [r["problem"] for r in read_summary(out) if r["final_f"] == "nan"]
         assert failed == [bench.make_problem("quartc", 2, 6, 1).problem_id]
+
+
+class TestTraceCsv:
+    # a tie between 0.0 and -0.0 keeps the earlier text; extremes and
+    # subnormals go through .17g unchanged
+    VALUES = [3.0, 0.0, -0.0, 0.5, 1e300, -1e-300, -1e300, 1e-300, -1e300,
+              5e-324, -2.5, 0.1, -1e300 * 1.0000000000000002]
+
+    @staticmethod
+    def csv_writer_reference(trace) -> str:
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(cli.TRACE_HEADER)
+        writer.writerows((k, f"{v:.17g}", f"{b:.17g}") for k, v, b in trace)
+        return buf.getvalue()
+
+    def test_bytes_match_csv_writer_over_the_objective_trace(self, tmp_path):
+        values = iter(self.VALUES)
+        objective = BudgetedObjective(lambda x: next(values))
+        for _ in self.VALUES:
+            objective(np.zeros(1))
+        text = cli.trace_csv(objective.values)
+        assert text == self.csv_writer_reference(objective.trace)
+        assert text.startswith("eval,f,best_f\r\n") and text.endswith("\r\n")
+        assert "\r\n3,-0,0\r\n" in text
+        # written as cmd_run writes it, the file holds the same bytes
+        path = tmp_path / "trace.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert path.read_bytes() == text.encode()
+
+    def test_header_only_without_values(self):
+        assert cli.trace_csv([]) == "eval,f,best_f\r\n"
+        assert cli.trace_csv([]) == self.csv_writer_reference([])
+
+    def test_run_one_returns_the_trace_text(self):
+        _, _, text, summary = cli.run_one("power", 2, 6, 0, "ord", 20)
+        rows = text.split("\r\n")
+        assert rows[0] == "eval,f,best_f" and rows[-1] == ""
+        assert len(rows) - 2 == summary[6]
 
 
 def make_trace_dir(tmp_path, t_by_run, length=40, n=5):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from atomdfo.core import BudgetedObjective, DfSimplexConfig, is_simplex_point
+import atomdfo.dfsimplex
+from atomdfo.core import BudgetExhausted, BudgetedObjective, DfSimplexConfig, is_simplex_point
 from atomdfo.dfsimplex import (
     DfSimplexState,
     StopReason,
@@ -10,6 +11,7 @@ from atomdfo.dfsimplex import (
     df_simplex_solve,
 )
 from atomdfo.analysis import kkt_gap
+from atomdfo.linesearch import line_search
 
 
 class TestChoosePivot:
@@ -90,6 +92,121 @@ class TestIterate:
         assert nxt.stop is StopReason.TOLERANCE
         above = DfSimplexState(y=y, f=0.0, alpha_hat=np.array([cfg.epsilon, 0.5, cfg.epsilon]))
         assert df_simplex_iterate(above, phi, cfg).stop is None
+
+
+def _iterate_reference(state, phi, cfg):
+    """df_simplex_iterate with a line search on every coordinate."""
+    y = state.y
+    m = len(y)
+    ah = state.alpha_hat.tolist()
+    j = choose_pivot(y)
+    z, f_z = y.copy(), state.f
+    new_ah = list(ah)
+    samples = []
+    moved = False
+    stop = None
+    for i in range(m):
+        if i == j:
+            continue
+        try:
+            out = line_search(phi, z, f_z, i, j, ah[i], cfg.gamma, cfg.delta)
+        except BudgetExhausted:
+            stop = StopReason.BUDGET
+            samples = []
+            break
+        samples.extend(out.samples)
+        if out.alpha > 0.0:
+            new_ah[i] = max(out.alpha, cfg.epsilon)
+            z, f_z = out.z, out.f_new
+            moved = True
+        else:
+            new_ah[i] = max(cfg.theta * ah[i], cfg.epsilon)
+    if stop is None:
+        if not moved and (m == 1 or all(a == cfg.epsilon for a in ah)):
+            stop = StopReason.TOLERANCE
+        new_ah[j] = max(min(new_ah), cfg.epsilon)
+    return DfSimplexState(z, f_z, np.array(new_ah), state.iterations + 1, samples, stop)
+
+
+def _assert_same_state(a, b):
+    assert a.y.tobytes() == b.y.tobytes()
+    assert a.f == b.f
+    assert a.alpha_hat.tobytes() == b.alpha_hat.tobytes()
+    assert a.iterations == b.iterations
+    assert a.stop is b.stop
+    assert len(a.samples) == len(b.samples)
+    for (p, v), (q, w) in zip(a.samples, b.samples):
+        assert p.tobytes() == q.tobytes() and v == w
+
+
+class TestZeroBoundSkip:
+    def test_drained_pivot_matches_the_reference_sweep(self):
+        # pivot 1 holds 0.6; the search along e_0 - e_1 moves all of it onto
+        # coordinate 0, so coordinate 2 has both bounds at zero; the reverse
+        # search at 3 refills the pivot before 4 and 5
+        c = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        cfg = DfSimplexConfig()
+        y = np.array([0.0, 0.6, 0.0, 0.4, 0.0, 0.0])
+        state = DfSimplexState(y=y, f=float(np.dot(c, y)), alpha_hat=np.full(6, 1.0))
+        seen = []
+
+        def phi(v):
+            seen.append(v.copy())
+            return float(np.dot(c, v))
+
+        out = df_simplex_iterate(state, phi, cfg)
+        n_probes = len(seen)
+        ref = _iterate_reference(state, phi, cfg)
+        _assert_same_state(out, ref)
+        assert n_probes == len(seen) - n_probes
+        assert out.y[1] > 0.0 and out.alpha_hat[2] == 0.5  # coordinate 2 failed
+
+    def test_random_sparse_runs_match_the_reference_sweep(self):
+        rng = np.random.default_rng(11)
+        cfg = DfSimplexConfig(epsilon=1e-3)
+        for trial in range(40):
+            m = int(rng.integers(2, 12))
+            B = rng.normal(size=(m, m))
+            Q = B.T @ B / m
+            c = rng.normal(size=m) * 3
+            phi = lambda v, Q=Q, c=c: float(0.5 * v @ Q @ v + c @ v)  # noqa: E731
+            y = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.4)
+            y[int(rng.integers(m))] += 1.0
+            y /= y.sum()
+            alpha_hat = rng.choice([1.0, 0.3], m)
+            budget = int(rng.integers(5, 80)) if trial % 2 else None
+            states = []
+            for iterate in (df_simplex_iterate, _iterate_reference):
+                objective = BudgetedObjective(phi, budget=budget)
+                state = DfSimplexState(y=y, f=phi(y), alpha_hat=alpha_hat)
+                run = [state]
+                while state.stop is None and state.iterations < 200:
+                    state = iterate(state, objective, cfg)
+                    run.append(state)
+                states.append((run, objective.values))
+            (run, values), (ref_run, ref_values) = states
+            assert values == ref_values
+            assert len(run) == len(ref_run)
+            for a, b in zip(run[1:], ref_run[1:]):
+                _assert_same_state(a, b)
+
+    def test_no_search_with_both_bounds_zero(self, monkeypatch):
+        # df_simplex_iterate looks line_search up in atomdfo.dfsimplex at each
+        # call, so a wrapper set there (as a tracer does) sees every search
+        calls = []
+
+        def checked(phi, z, f_z, i, j, *rest):
+            assert z[i] > 0.0 or z[j] > 0.0, f"search at {i} with both bounds zero"
+            calls.append(i)
+            return line_search(phi, z, f_z, i, j, *rest)
+
+        monkeypatch.setattr(atomdfo.dfsimplex, "line_search", checked)
+        c = np.linspace(0.0, 1.0, 30)
+        y0 = np.zeros(30)
+        y0[7] = 1.0
+        res = df_simplex_solve(lambda v: float((c - 0.2) ** 2 @ v), y0, DfSimplexConfig())
+        assert res.stop is StopReason.TOLERANCE
+        assert 0 < len(calls) < 29 * res.iterations
 
 
 class TestSolve:

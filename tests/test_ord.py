@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import atomdfo.ord
 from atomdfo.core import (
     AtomSet,
+    BudgetExhausted,
     BudgetedObjective,
     DfSimplexConfig,
     DropRule,
@@ -17,6 +18,7 @@ from atomdfo.dfsimplex import df_simplex_solve
 from atomdfo.ord import (
     OrdStop,
     PoisednessFailure,
+    RefineOutcome,
     drop_phase,
     farthest_distance,
     ord_solve,
@@ -81,6 +83,93 @@ class TestRefinePhase:
             out = refine_phase(f, np.full(2, 100.0), 2e4, atoms, range(9), 0.99, 1e-6, rng)
             tried.append(out.atom_id)
         assert tried[0] == tried[1]
+
+
+def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng):
+    """refine_phase one candidate at a time: one trial point per evaluation."""
+    order = rng.permutation(len(candidates))
+    tried = 0
+    for idx in order:
+        atom_id = int(candidates[idx])
+        trial = x_bar + mu_hat * (atoms.atoms[atom_id] - x_bar)
+        try:
+            f_trial = f(trial)
+        except BudgetExhausted:
+            return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
+        tried += 1
+        if f_trial < f_bar and f_trial <= f_bar - gamma * mu_hat * mu_hat:
+            return RefineOutcome(atom_id, trial, f_trial, tried)
+    return RefineOutcome(None, None, f_bar, tried)
+
+
+# (candidates, evaluation that succeeds or None, budget or None); blocks
+# cover rows 0-7, 8-23, 24-55, 56-119, 120-247, 248-503, then 256 rows each
+REFINE_CASES = [
+    (1, 0, None), (1, None, None),
+    (7, 3, None), (7, 6, None), (7, None, None),
+    (8, 0, None), (8, 7, None), (8, None, None),
+    (9, 8, None), (9, None, None), (9, None, 8),
+    (100, 0, None), (100, 8, None), (100, 15, None), (100, 23, None),
+    (100, 24, None), (100, 99, None), (100, None, None), (100, None, 12),
+    (3000, 248, None), (3000, 400, None), (3000, 503, None), (3000, 504, None),
+    (3000, 2999, None), (3000, None, None), (3000, None, 600),
+]
+
+
+@pytest.mark.parametrize("count, success_at, budget", REFINE_CASES)
+def test_refine_matches_per_candidate_reference(count, success_at, budget):
+    data = np.random.default_rng(count)
+    n = 5
+    atoms = AtomSet(data.normal(size=(count + 40, n)))
+    candidates = np.sort(data.choice(count + 40, size=count, replace=False))
+    x_bar = data.normal(size=n)
+    f_bar, mu_hat, gamma = 1.0, 0.3, 1e-6
+
+    def run(refine):
+        points = []
+
+        def f(x):
+            points.append(x.tobytes())
+            # only the chosen evaluation decreases, by a value that depends on x
+            return 0.5 - 1e-3 * float(x @ x) if len(points) - 1 == success_at else 2.0
+
+        objective = BudgetedObjective(f, budget=budget)
+        rng = np.random.default_rng(7)
+        out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng)
+        return out, points, rng.bit_generator.state
+
+    out, points, state = run(refine_phase)
+    ref, ref_points, ref_state = run(_refine_reference)
+    assert points == ref_points
+    assert state == ref_state
+    assert out.atom_id == ref.atom_id
+    assert out.candidates_tried == ref.candidates_tried
+    assert out.f_next == ref.f_next
+    assert out.budget_exhausted == ref.budget_exhausted
+    assert out.found == (success_at is not None)
+    if out.found:
+        assert out.x_next.tobytes() == ref.x_next.tobytes()
+        # a copy, not a view that keeps the whole block of trial points alive
+        assert out.x_next.base is None and out.x_next.flags.owndata
+    else:
+        assert out.x_next is None
+
+
+def test_refine_called_through_the_module_global(monkeypatch):
+    # ord_solve looks refine_phase up in atomdfo.ord at each call, so a
+    # wrapper set there (as a tracer does) sees every sweep
+    calls = []
+
+    def counting(*args):
+        out = refine_phase(*args)
+        calls.append(out.candidates_tried)
+        return out
+
+    monkeypatch.setattr(atomdfo.ord, "refine_phase", counting)
+    atoms = AtomSet(np.random.default_rng(2).uniform(0, 1, (12, 3)))
+    objective = BudgetedObjective(lambda x: float(np.sum((x - 0.5) ** 2)), budget=200)
+    res = ord_solve(objective, atoms, OrdConfig(rng_seed=0), 0)
+    assert calls and sum(calls) <= res.evals
 
 
 def _tangent(v):

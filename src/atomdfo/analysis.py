@@ -12,8 +12,8 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .core import DfSimplexConfig, ZERO_TOL
-from .dfsimplex import df_simplex_solve
+from .core import BudgetedObjective, DfSimplexConfig, ZERO_TOL
+from .dfsimplex import df_simplex_solve, final_poll
 from .linesearch import line_search
 
 CONE_ORACLE_CAP = 12
@@ -313,7 +313,7 @@ def check_linesearch_oracle(trials: int, rng: np.random.Generator) -> PropertyRe
 
 
 def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> PropertyReport:
-    """The sample-based gradient's tangent part is exact on affine objectives.
+    """The final-poll gradient's tangent part is exact on affine objectives.
 
     Only g - c with its mean removed is compared: the fit pins the component
     along the all-ones vector to zero, which the drop test cancels anyway.
@@ -325,11 +325,12 @@ def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> Prop
         m = int(rng.integers(2, 11))
         c = rng.normal(size=m)
         b = float(rng.normal())
-        phi = lambda y, c=c, b=b: float(c @ y + b)
+        phi = BudgetedObjective(lambda y, c=c, b=b: float(c @ y + b))
         y0 = random_simplex_point(rng, m, int(rng.integers(0, m)))
         cfg = DfSimplexConfig(epsilon=1e-3)
         res = df_simplex_solve(phi, y0, cfg)
-        d = simplex_gradient(res.samples, res.y, res.f) - c
+        points = final_poll(res.y, cfg.epsilon)
+        d = simplex_gradient(points, phi.values[-len(points):], res.y, res.f) - c
         worst = max(worst, float(np.max(np.abs(d - d.mean()))))
     return PropertyReport("simplex-grad-affine", trials, 1e-8 - worst, worst <= 1e-8)
 

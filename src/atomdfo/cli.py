@@ -239,6 +239,7 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1) -> int:
             name, n, m, seed, solver = task[:5]
             problem_id = bench.problem_id(name, n, m, seed)
             print(f"run failed for {problem_id} ({solver}): {message}", file=sys.stderr)
+            _trace_path(out, problem_id, solver).unlink(missing_ok=True)
             summary_rows.append((problem_id, solver, n, m, seed, "nan", 0, "nan", "nan"))
             n_failures += 1
     summary_rows.sort(key=lambda row: (row[0], row[1]))
@@ -283,8 +284,7 @@ def load_run_records(trace_dir) -> List[profiles.RunRecord]:
         rows = list(csv.DictReader(fh))
     failed: Dict[str, List[str]] = {}
     for row in rows:
-        path = _trace_path(trace_dir, row["problem"], row["solver"])
-        if row["final_f"] == "nan" and not path.exists():
+        if row["final_f"] == "nan":
             failed.setdefault(row["problem"], []).append(row["solver"])
     for problem_id, solvers in failed.items():
         print(f"skipping {problem_id}: failed run of {', '.join(solvers)}", file=sys.stderr)

@@ -199,8 +199,8 @@ class DropRule(Enum):
 class OrdConfig:
     """Parameters of the outer optimize/refine/drop loop.
 
-    The inner-solver tolerance follows eps_k = max(eps_min, eps0 * eps_decay**k),
-    so ``inner.epsilon`` must stay at its default. gamma and theta are
+    The inner-solver tolerance follows eps_k = max(inner.epsilon, eps0 *
+    eps_decay**k), floored at ``inner.epsilon``. gamma and theta are
     independent of the inner solver's. The default drop rule filters
     zero-weight atoms through a simplex-gradient sign test.
     """
@@ -209,7 +209,6 @@ class OrdConfig:
     # inner solves stay loose and the saved evaluations go to refine sweeps.
     eps0: float = 1e-1
     eps_decay: float = 0.85
-    eps_min: float = 1e-4
     mu0: float = 0.5
     gamma: float = 1e-6
     theta: float = 0.5
@@ -219,12 +218,12 @@ class OrdConfig:
     inner: DfSimplexConfig = field(default_factory=DfSimplexConfig)
 
     def __post_init__(self):
-        if self.eps0 <= 0.0 or self.eps_min <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.eps0 <= 0.0:
+            raise ValueError(f"eps0 must be positive, got {self.eps0}")
         if not (0.0 < self.eps_decay < 1.0):
             raise ValueError(f"eps_decay must be in (0, 1), got {self.eps_decay}")
-        if self.eps_min > self.eps0:
-            raise ValueError("eps_min cannot exceed eps0")
+        if self.inner.epsilon > self.eps0:
+            raise ValueError("inner.epsilon cannot exceed eps0")
         if not (0.0 < self.mu0 < 1.0):
             raise ValueError(f"mu0 must be in (0, 1), got {self.mu0}")
         if self.gamma <= 0.0:
@@ -233,9 +232,6 @@ class OrdConfig:
             raise ValueError(f"theta must be in (0, 1), got {self.theta}")
         if self.stop_factor <= 0.0:
             raise ValueError(f"stop_factor must be positive, got {self.stop_factor}")
-        if self.inner.epsilon != DfSimplexConfig.epsilon:
-            raise ValueError("inner.epsilon is unused: eps0, eps_decay and eps_min "
-                             "own the inner tolerance")
 
     def eps_at(self, k: int) -> float:
-        return max(self.eps_min, self.eps0 * self.eps_decay**k)
+        return max(self.inner.epsilon, self.eps0 * self.eps_decay**k)

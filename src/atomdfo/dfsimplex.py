@@ -9,13 +9,13 @@ an approximate-stationarity bound for gradient-Lipschitz objectives.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BudgetExhausted, DfSimplexConfig, is_simplex_point
+from .core import BudgetExhausted, DfSimplexConfig, exchange_point, is_simplex_point
 from .linesearch import line_search
 
 
@@ -31,19 +31,12 @@ def choose_pivot(y: np.ndarray) -> int:
 
 @dataclass
 class DfSimplexState:
-    """The running state; df_simplex_solve returns the one that stopped.
-
-    ``samples`` holds the most recent iteration's probes, which ORD fits its
-    drop gradient to. A BUDGET stop carries none: its sweep was cut short,
-    and ORD returns before any fit.
-    """
+    """The running state; df_simplex_solve returns the one that stopped."""
 
     y: np.ndarray
     f: float
     alpha_hat: np.ndarray
     iterations: int = 0
-    # every probe of the most recent iteration in evaluation order, repeats kept
-    samples: List[Tuple[np.ndarray, float]] = field(default_factory=list)
     # set by the iteration that ends the run, None while it goes on
     stop: Optional[StopReason] = None
 
@@ -71,7 +64,6 @@ def df_simplex_iterate(
     z_j = z.item(j)  # the forward feasibility bound of every search
     f_z = state.f
     new_ah = list(ah)
-    samples: List[Tuple[np.ndarray, float]] = []
     moved = False
     stop = None
 
@@ -86,9 +78,7 @@ def df_simplex_iterate(
             out = line_search(phi, z, f_z, i, j, ah[i], gamma, delta)
         except BudgetExhausted:
             stop = StopReason.BUDGET
-            samples = []
             break
-        samples.extend(out.samples)
         if out.alpha > 0.0:
             # Floor the success update too: the feasibility bound can truncate
             # the accepted step below epsilon, and alpha_hat >= epsilon must
@@ -111,9 +101,21 @@ def df_simplex_iterate(
         f=f_z,
         alpha_hat=np.array(new_ah),
         iterations=state.iterations + 1,
-        samples=samples,
         stop=stop,
     )
+
+
+def final_poll(y: np.ndarray, epsilon: float) -> np.ndarray:
+    """The points a TOLERANCE stop at y probed, in probe order, one per row.
+
+    Its iteration began at y with every stepsize at epsilon and accepted no
+    step, so each search probed both directions once, at its floored step.
+    """
+    j = choose_pivot(y)
+    points = [exchange_point(y, sign, i, j, min(bound, epsilon))
+              for i in range(len(y)) if i != j
+              for sign, bound in ((+1, y.item(j)), (-1, y.item(i))) if bound > 0.0]
+    return np.array(points).reshape(-1, len(y))
 
 
 def df_simplex_solve(

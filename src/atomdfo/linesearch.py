@@ -7,8 +7,8 @@ feasibility bound is zero are skipped without spending an evaluation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,15 +23,13 @@ class LineSearchOutcome:
     a failed search returns alpha == 0 with sign == +1 by convention and the
     caller ignores the direction. ``f_new`` and ``z`` are the objective value
     and the point the accepted probe evaluated (the caller's cached value and
-    its own z when alpha == 0). ``samples`` holds every point actually
-    evaluated, feasible by construction.
+    its own z when alpha == 0).
     """
 
     alpha: float
     sign: int
     f_new: float
     z: np.ndarray
-    samples: List[Tuple[np.ndarray, float]] = field(default_factory=list)
 
 
 def line_search(
@@ -53,7 +51,6 @@ def line_search(
     """
     if alpha_hat <= 0.0:
         raise ValueError(f"alpha_hat must be positive, got {alpha_hat}")
-    samples: List[Tuple[np.ndarray, float]] = []
     # The feasibility bound is z_j along +(e_i - e_j) and z_i along its reverse.
     for sign, bound in ((+1, float(z[j])), (-1, float(z[i]))):
         alpha = min(bound, alpha_hat)
@@ -61,7 +58,6 @@ def line_search(
             continue
         z_new = exchange_point(z, sign, i, j, alpha)
         f_new = phi(z_new)
-        samples.append((z_new, f_new))
         # written as `not <=` so that a NaN value fails the test
         if not f_new <= f_z - gamma * alpha * alpha:
             continue
@@ -71,9 +67,8 @@ def line_search(
             beta = min(bound, alpha / delta)
             z_beta = exchange_point(z, sign, i, j, beta)
             f_beta = phi(z_beta)
-            samples.append((z_beta, f_beta))
             if not f_beta <= f_z - gamma * beta * beta:
                 break
             alpha, z_new, f_new = beta, z_beta, f_beta
-        return LineSearchOutcome(alpha, sign, f_new, z_new, samples)
-    return LineSearchOutcome(0.0, +1, f_z, z, samples)
+        return LineSearchOutcome(alpha, sign, f_new, z_new)
+    return LineSearchOutcome(0.0, +1, f_z, z)

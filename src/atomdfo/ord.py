@@ -23,7 +23,7 @@ from .core import (
     ZERO_TOL,
 )
 from .dfsimplex import StopReason as InnerStop
-from .dfsimplex import df_simplex_solve
+from .dfsimplex import df_simplex_solve, final_poll
 
 
 # Refine builds trial points in blocks that double from the first size to the
@@ -124,13 +124,14 @@ def refine_phase(
 
 
 def simplex_gradient(
-    samples: Sequence[Tuple[np.ndarray, float]],
+    points: np.ndarray,
+    values: Sequence[float],
     y_bar: np.ndarray,
     f_bar: float,
 ) -> np.ndarray:
-    """Least-squares fit of the tangent gradient to the final-iteration samples.
+    """Least-squares fit of the tangent gradient to sample points and their values.
 
-    Makes no evaluation. The rows s - y_bar span at most the tangent space
+    Makes no evaluation. The rows p - y_bar span at most the tangent space
     {d : sum(d) = 0}, and the drop test g_h - g^T y_bar cancels any multiple
     of the all-ones vector, so one more row along it with right-hand side 0
     pins that component to zero (rounding leaves the rows' sums slightly off
@@ -140,13 +141,13 @@ def simplex_gradient(
     """
     y_bar = np.asarray(y_bar, dtype=float)
     m = len(y_bar)
-    rows = np.array([p for p, _ in samples], dtype=float).reshape(-1, m) - y_bar
+    rows = np.asarray(points, dtype=float).reshape(-1, m) - y_bar
     scale = np.linalg.norm(rows, axis=1).max(initial=0.0) or 1.0
     S_t = np.vstack([rows, np.full(m, scale / np.sqrt(m))])
-    b = np.append(np.array([v for _, v in samples]) - f_bar, 0.0)
+    b = np.append(np.asarray(values, dtype=float) - f_bar, 0.0)
     g, _, rank, _ = np.linalg.lstsq(S_t, b, rcond=None)
     if rank < m:
-        raise PoisednessFailure(f"{len(samples)} samples span tangent rank {rank - 1} < {m - 1}")
+        raise PoisednessFailure(f"{len(rows)} samples span tangent rank {rank - 1} < {m - 1}")
     return g
 
 
@@ -235,9 +236,9 @@ def ord_solve(
 
     Every evaluated point lies in conv(atoms), up to rounding: the inner
     solves probe the active subset's hull, refine probes a segment toward an
-    atom, and the gradient-filtered drop rule reuses the inner samples. That
-    rule fits its gradient only on iterations where an active atom has zero
-    weight, since otherwise it drops nothing whatever the gradient is.
+    atom, and the gradient-filtered drop rule refits the inner solve's final
+    poll. That rule fits its gradient only on iterations where an active atom
+    has zero weight, since otherwise it drops nothing whatever the gradient is.
 
     Evaluations are counted by one BudgetedObjective: ``f`` itself when it is
     one, else a budgetless wrapper around it. Either way a NaN/inf value raises
@@ -284,6 +285,17 @@ def ord_solve(
         if inner.stop is InnerStop.BUDGET:
             return result(x_f, f_bar, active, y_bar, k, OrdStop.BUDGET)
 
+        gradient = None  # None drops by the plain zero-weight rule
+        # with no zero weight nothing is droppable whatever g is, so skip the fit
+        if cfg.drop_rule is DropRule.GRADIENT_FILTERED and (y_bar <= ZERO_TOL).any():
+            # the poll is the ledger's tail, nonempty since a weight is zero
+            points = final_poll(y_bar, eps_k)
+            try:
+                gradient = simplex_gradient(points, objective.values[-len(points):], y_bar, f_bar)
+            except PoisednessFailure:
+                pass
+        dropped = drop_phase(active, y_bar, gradient)
+
         # ascending, so each seeded refine draw maps to the same atom id
         inactive_mask = np.ones(atoms.m, dtype=bool)
         inactive_mask[active] = False
@@ -291,15 +303,6 @@ def ord_solve(
         refine = refine_phase(
             objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
         )
-
-        gradient = None  # None drops by the plain zero-weight rule
-        # with no zero weight nothing is droppable whatever g is, so skip the fit
-        if cfg.drop_rule is DropRule.GRADIENT_FILTERED and (y_bar <= ZERO_TOL).any():
-            try:
-                gradient = simplex_gradient(inner.samples, y_bar, f_bar)
-            except PoisednessFailure:
-                pass
-        dropped = drop_phase(active, y_bar, gradient)
 
         refine_pair = (refine.atom_id, mu_hat) if refine.found else None
         new_active, y_next = reexpress_weights(y_bar, active, refine_pair, dropped)
@@ -324,9 +327,9 @@ def ord_solve(
                 # is a fixpoint only once the tolerance schedule has bottomed
                 # out, nothing is droppable, and the inner solve at the floor
                 # tolerance accepted no move.
-                if not dropped and eps_k <= cfg.eps_min and f_bar == f_x:
+                if not dropped and eps_k <= cfg.inner.epsilon and f_bar == f_x:
                     return result(x_f, f_next, new_active, y_next, k + 1, OrdStop.STALLED)
-            elif eps_k <= cfg.eps_min:
+            elif eps_k <= cfg.inner.epsilon:
                 # A converged verdict must carry the final-tolerance inner
                 # certificate, so the mu_hat rule only applies once the
                 # tolerance schedule has bottomed out.

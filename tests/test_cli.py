@@ -80,7 +80,7 @@ class TestRun:
         tweaked = write_manifest(
             tmp_path / "b.json",
             functions=["power"],
-            ord={"drop_rule": "zero_weight", "mu0": 0.9, "inner": {"delta": 0.3}},
+            ord={"drop_rule": "zero_weight", "mu0": 0.9, "inner": {"delta": 0.3, "epsilon": 1e-3}},
         )
         out_a, out_b = tmp_path / "oa", tmp_path / "ob"
         assert cli.main(["run", "--config", str(base), "--out", str(out_a)]) == 0
@@ -329,6 +329,40 @@ class TestProfile:
             ("quartc_n2_m6_seed0", "ord"), ("quartc_n2_m6_seed0", "dfsimplex"),
         }
 
+    def test_rerun_failure_drops_the_stale_trace(self, tmp_path, monkeypatch, capsys):
+        # the first suite writes every trace; when the same run fails on a
+        # re-run into the same directory, its old trace must not be profiled
+        manifest = write_manifest(tmp_path / "suite.json", solvers=["ord", "dfsimplex"])
+        traces = tmp_path / "traces"
+        assert cli.main(["run", "--config", str(manifest), "--out", str(traces)]) == 0
+        original = cli.run_one
+
+        def flaky(name, n, m, seed, solver, *rest):
+            if (name, solver) == ("power", "dfsimplex"):
+                raise RuntimeError("boom")
+            return original(name, n, m, seed, solver, *rest)
+
+        monkeypatch.setattr(cli, "run_one", flaky)
+        assert cli.main(["run", "--config", str(manifest), "--out", str(traces)]) == 1
+        assert not (traces / "power_n2_m6_seed0__dfsimplex.csv").exists()
+        capsys.readouterr()
+        records = cli.load_run_records(traces)
+        assert {r.problem_id for r in records} == {"quartc_n2_m6_seed0"}
+        skipped = [ln for ln in capsys.readouterr().err.splitlines() if "skipping" in ln]
+        assert skipped == ["skipping power_n2_m6_seed0: failed run of dfsimplex"]
+
+    def test_failed_row_is_skipped_even_with_a_trace(self, tmp_path, capsys):
+        traces = make_trace_dir(tmp_path, {("p1", "s1"): 5, ("p2", "s1"): 5})
+        rows = read_summary(traces)
+        rows[0]["final_f"] = "nan"
+        with open(traces / "summary.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=cli.SUMMARY_HEADER)
+            writer.writeheader()
+            writer.writerows(rows)
+        records = cli.load_run_records(traces)
+        assert [r.problem_id for r in records] == [rows[1]["problem"]]
+        assert f"skipping {rows[0]['problem']}: failed run of s1" in capsys.readouterr().err
+
     def test_every_problem_failed_is_an_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_one", lambda *task: 1 / 0)
         manifest = write_manifest(tmp_path / "suite.json", functions=["power"])
@@ -361,6 +395,7 @@ class TestSuiteConfig:
             {"seeds": []},
             {"solvers": []},
             {"ord": {"rng_seed": 1}},
+            {"ord": {"eps_min": 1e-4}},
         ],
     )
     def test_invalid_manifest_fields(self, tmp_path, overrides):

@@ -287,7 +287,7 @@ class TestConfigs:
         [
             {"eps0": 0.0},
             {"eps_decay": 1.0},
-            {"eps_min": 0.2, "eps0": 0.1},
+            {"inner": DfSimplexConfig(epsilon=0.2), "eps0": 0.1},
             {"mu0": 1.0},
             {"theta": 0.0},
             {"stop_factor": 0.0},
@@ -299,7 +299,7 @@ class TestConfigs:
             OrdConfig(**kwargs)
 
     def test_eps_schedule_decreasing_to_floor(self):
-        cfg = OrdConfig(eps0=0.1, eps_decay=0.5, eps_min=1e-3)
+        cfg = OrdConfig(eps0=0.1, eps_decay=0.5, inner=DfSimplexConfig(epsilon=1e-3))
         values = [cfg.eps_at(k) for k in range(12)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] == 1e-3
@@ -311,11 +311,11 @@ class TestConfigs:
         assert (inner.alpha0, inner.epsilon) == (1.0, 1e-4)
         assert [f.name for f in fields(inner)] == ["theta", "gamma", "delta", "alpha0", "epsilon"]
         outer = OrdConfig()
-        assert (outer.eps0, outer.eps_decay, outer.eps_min) == (0.1, 0.85, 1e-4)
+        assert (outer.eps0, outer.eps_decay, outer.inner.epsilon) == (0.1, 0.85, 1e-4)
         assert (outer.mu0, outer.gamma, outer.theta) == (0.5, 1e-6, 0.5)
         assert outer.stop_factor == 1e-4
         assert outer.drop_rule is DropRule.GRADIENT_FILTERED
         assert [f.name for f in fields(outer)] == [
-            "eps0", "eps_decay", "eps_min", "mu0", "gamma", "theta",
+            "eps0", "eps_decay", "mu0", "gamma", "theta",
             "drop_rule", "stop_factor", "rng_seed", "inner",
         ]

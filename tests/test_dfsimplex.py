@@ -9,6 +9,7 @@ from atomdfo.dfsimplex import (
     choose_pivot,
     df_simplex_iterate,
     df_simplex_solve,
+    final_poll,
 )
 from atomdfo.analysis import kkt_gap
 from atomdfo.linesearch import line_search
@@ -102,7 +103,6 @@ def _iterate_reference(state, phi, cfg):
     j = choose_pivot(y)
     z, f_z = y.copy(), state.f
     new_ah = list(ah)
-    samples = []
     moved = False
     stop = None
     for i in range(m):
@@ -112,9 +112,7 @@ def _iterate_reference(state, phi, cfg):
             out = line_search(phi, z, f_z, i, j, ah[i], cfg.gamma, cfg.delta)
         except BudgetExhausted:
             stop = StopReason.BUDGET
-            samples = []
             break
-        samples.extend(out.samples)
         if out.alpha > 0.0:
             new_ah[i] = max(out.alpha, cfg.epsilon)
             z, f_z = out.z, out.f_new
@@ -125,7 +123,7 @@ def _iterate_reference(state, phi, cfg):
         if not moved and (m == 1 or all(a == cfg.epsilon for a in ah)):
             stop = StopReason.TOLERANCE
         new_ah[j] = max(min(new_ah), cfg.epsilon)
-    return DfSimplexState(z, f_z, np.array(new_ah), state.iterations + 1, samples, stop)
+    return DfSimplexState(z, f_z, np.array(new_ah), state.iterations + 1, stop)
 
 
 def _assert_same_state(a, b):
@@ -134,9 +132,12 @@ def _assert_same_state(a, b):
     assert a.alpha_hat.tobytes() == b.alpha_hat.tobytes()
     assert a.iterations == b.iterations
     assert a.stop is b.stop
-    assert len(a.samples) == len(b.samples)
-    for (p, v), (q, w) in zip(a.samples, b.samples):
-        assert p.tobytes() == q.tobytes() and v == w
+
+
+def _assert_same_points(a, b):
+    assert len(a) == len(b)
+    for p, q in zip(a, b):
+        assert p.tobytes() == q.tobytes()
 
 
 class TestZeroBoundSkip:
@@ -158,7 +159,7 @@ class TestZeroBoundSkip:
         n_probes = len(seen)
         ref = _iterate_reference(state, phi, cfg)
         _assert_same_state(out, ref)
-        assert n_probes == len(seen) - n_probes
+        _assert_same_points(seen[:n_probes], seen[n_probes:])
         assert out.y[1] > 0.0 and out.alpha_hat[2] == 0.5  # coordinate 2 failed
 
     def test_random_sparse_runs_match_the_reference_sweep(self):
@@ -177,15 +178,22 @@ class TestZeroBoundSkip:
             budget = int(rng.integers(5, 80)) if trial % 2 else None
             states = []
             for iterate in (df_simplex_iterate, _iterate_reference):
-                objective = BudgetedObjective(phi, budget=budget)
+                seen = []
+
+                def probe(v, phi=phi, seen=seen):
+                    seen.append(v.copy())
+                    return phi(v)
+
+                objective = BudgetedObjective(probe, budget=budget)
                 state = DfSimplexState(y=y, f=phi(y), alpha_hat=alpha_hat)
                 run = [state]
                 while state.stop is None and state.iterations < 200:
                     state = iterate(state, objective, cfg)
                     run.append(state)
-                states.append((run, objective.values))
-            (run, values), (ref_run, ref_values) = states
+                states.append((run, objective.values, seen))
+            (run, values, seen), (ref_run, ref_values, ref_seen) = states
             assert values == ref_values
+            _assert_same_points(seen, ref_seen)
             assert len(run) == len(ref_run)
             for a, b in zip(run[1:], ref_run[1:]):
                 _assert_same_state(a, b)
@@ -264,18 +272,6 @@ class TestSolve:
         assert res.stop is StopReason.BUDGET
         assert obj.eval_count == 7
 
-    def test_budget_stop_carries_no_samples(self):
-        # this budget runs out mid-sweep, after earlier line searches of the
-        # sweep have probed: the cut-short sweep's probes are dropped, while a
-        # tolerance stop keeps its own
-        obj = BudgetedObjective(lambda x: float(np.sum(x**2)), budget=11)
-        res = df_simplex_solve(obj, np.full(4, 0.25), DfSimplexConfig())
-        assert res.stop is StopReason.BUDGET
-        assert res.samples == []
-        res = df_simplex_solve(lambda y: float(np.sum(y**2)), np.full(4, 0.25), DfSimplexConfig())
-        assert res.stop is StopReason.TOLERANCE
-        assert res.samples
-
     def test_monotone_and_feasible_all_probes(self):
         rng = np.random.default_rng(3)
         cfg = DfSimplexConfig(epsilon=1e-3)
@@ -312,11 +308,80 @@ class TestSolve:
             state = df_simplex_iterate(state, phi, cfg)
             assert np.all(state.alpha_hat >= cfg.epsilon)
 
-    def test_final_iteration_samples_cover_every_direction(self):
+    def test_final_poll_covers_every_direction(self):
         # at the stopping iteration every non-pivot coordinate got a forward
-        # probe, so the samples hold >= m-1 distinct points
+        # probe, so the final poll holds >= m-1 distinct points, and their
+        # values are the ledger's last entries
         phi = lambda y: float(np.sum((y - np.array([0.5, 0.3, 0.2])) ** 2))
-        res = df_simplex_solve(phi, np.full(3, 1 / 3), DfSimplexConfig(epsilon=1e-3))
-        assert len({point.tobytes() for point, _ in res.samples}) >= 2
-        for point, value in res.samples:
-            assert value == phi(point)
+        objective = BudgetedObjective(phi)
+        cfg = DfSimplexConfig(epsilon=1e-3)
+        res = df_simplex_solve(objective, np.full(3, 1 / 3), cfg)
+        points = final_poll(res.y, cfg.epsilon)
+        assert len({point.tobytes() for point in points}) >= 2
+        assert objective.values[-len(points):] == [phi(point) for point in points]
+
+
+def _run_to_stop(phi, y0, cfg):
+    """Iterate from y0 to the stop; the last state and the (point, value)
+    pairs phi was called with during the stopping iteration."""
+    state = DfSimplexState(y=y0, f=phi(y0), alpha_hat=np.full(len(y0), cfg.alpha0))
+    while state.stop is None:
+        calls = []
+
+        def recorded(v):
+            value = phi(v)
+            calls.append((v.copy(), value))
+            return value
+
+        start = state
+        state = df_simplex_iterate(state, recorded, cfg)
+    assert state.y.tobytes() == start.y.tobytes()
+    return state, calls
+
+
+class TestFinalPoll:
+    def _assert_poll_is_last_sweep(self, phi, y0, cfg):
+        state, calls = _run_to_stop(phi, y0, cfg)
+        assert state.stop is StopReason.TOLERANCE
+        points = final_poll(state.y, cfg.epsilon)
+        assert points.shape == (len(calls), len(y0))
+        _assert_same_points(list(points), [p for p, _ in calls])
+        return state
+
+    def test_random_runs_with_zero_weights(self):
+        rng = np.random.default_rng(21)
+        cfg = DfSimplexConfig(epsilon=1e-3)
+        with_zero = 0
+        for _ in range(40):
+            m = int(rng.integers(2, 12))
+            B = rng.normal(size=(m, m))
+            Q = B.T @ B / m
+            c = rng.normal(size=m) * 3
+            phi = lambda v, Q=Q, c=c: float(0.5 * v @ Q @ v + c @ v)  # noqa: E731
+            y = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.4)
+            y[int(rng.integers(m))] += 1.0
+            y /= y.sum()
+            state = self._assert_poll_is_last_sweep(phi, y, cfg)
+            with_zero += bool((state.y <= 0.0).any())
+        assert with_zero > 10
+
+    def test_drained_pivot(self):
+        # the first sweep drains pivot 1 onto coordinate 0 and skips
+        # coordinate 2 with both bounds at zero
+        c = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        y = np.array([0.0, 0.6, 0.0, 0.4, 0.0, 0.0])
+        state = self._assert_poll_is_last_sweep(lambda v: float(c @ v), y, DfSimplexConfig())
+        assert np.array_equal(state.y, [1.0, 0, 0, 0, 0, 0])
+
+    def test_steps_truncated_by_small_weights(self):
+        # weights below epsilon cap the reverse probes at the weight itself
+        target = np.array([0.9, 0.07, 0.03])
+        phi = lambda v: float(np.sum((v - target) ** 2))  # noqa: E731
+        cfg = DfSimplexConfig(epsilon=0.03)
+        state = self._assert_poll_is_last_sweep(phi, np.full(3, 1 / 3), cfg)
+        assert 0.0 < state.y.min() < cfg.epsilon
+
+    def test_singleton_poll_is_empty(self):
+        state = self._assert_poll_is_last_sweep(lambda v: 2.0, np.array([1.0]), DfSimplexConfig())
+        assert state.iterations == 1
+        assert final_poll(state.y, 1e-4).shape == (0, 1)

@@ -6,38 +6,50 @@ from atomdfo.linesearch import line_search
 from atomdfo.analysis import reference_line_search
 
 
+def recording(phi):
+    """phi, and the list of (point, value) pairs it appends every call to."""
+    calls = []
+
+    def recorded(y):
+        value = phi(y)
+        calls.append((y.copy(), value))
+        return value
+
+    return recorded, calls
+
+
 def test_descent_direction_expands_to_boundary():
     # phi(y) = y_2 decreases along +(e_1 - e_2): first probe at 0.25 accepts,
     # expansion reaches the feasibility bound 0.5 and stops there.
-    phi = lambda y: float(y[1])
+    phi, calls = recording(lambda y: float(y[1]))
     z = np.array([0.5, 0.5])
     out = line_search(phi, z, 0.5, 0, 1, alpha_hat=0.25, gamma=1e-6, delta=0.5)
     assert out.alpha == 0.5
     assert out.sign == +1
     assert out.f_new == 0.0
-    assert len(out.samples) == 2  # probe at 0.25, expansion probe at 0.5
+    assert len(calls) == 2  # probe at 0.25, expansion probe at 0.5
 
 
 def test_constant_function_fails_both_sides():
-    phi = lambda y: 7.0
+    phi, calls = recording(lambda y: 7.0)
     z = np.array([0.5, 0.5])
     out = line_search(phi, z, 7.0, 0, 1, alpha_hat=0.25, gamma=1e-6, delta=0.5)
     assert out.alpha == 0.0
     assert out.sign == +1
     assert out.f_new == 7.0
-    assert len(out.samples) == 2  # forward and backward both evaluated
+    assert len(calls) == 2  # forward and backward both evaluated
 
 
 def test_ascent_direction_gets_flipped():
     # phi(y) = y_1 increases along +(e_1 - e_2); the reverse direction accepts
     # at 0.25 and expands to the bound 0.5.
-    phi = lambda y: float(y[0])
+    phi, calls = recording(lambda y: float(y[0]))
     z = np.array([0.5, 0.5])
     out = line_search(phi, z, 0.5, 0, 1, alpha_hat=0.25, gamma=1e-6, delta=0.5)
     assert out.alpha == 0.5
     assert out.sign == -1
     assert out.f_new == 0.0
-    assert len(out.samples) == 3  # failed forward, accepted backward, expansion
+    assert len(calls) == 3  # failed forward, accepted backward, expansion
 
 
 def test_zero_bound_probe_skipped_without_evaluation():
@@ -92,8 +104,9 @@ def test_sufficient_decrease_certificate_and_feasibility():
     for _ in range(300):
         phi, z, i, j, alpha_hat, gamma, delta = _random_case(rng)
         f_z = phi(z)
-        out = line_search(phi, z, f_z, i, j, alpha_hat, gamma, delta)
-        for point, value in out.samples:
+        probed, calls = recording(phi)
+        out = line_search(probed, z, f_z, i, j, alpha_hat, gamma, delta)
+        for point, value in calls:
             assert is_simplex_point(point)
             assert value == phi(point)
         if out.alpha > 0:
@@ -111,10 +124,11 @@ def test_outcome_point_is_the_accepted_probe():
     accepted = failed = 0
     for _ in range(300):
         phi, z, i, j, alpha_hat, gamma, delta = _random_case(rng)
-        out = line_search(phi, z, phi(z), i, j, alpha_hat, gamma, delta)
+        probed, calls = recording(phi)
+        out = line_search(probed, z, phi(z), i, j, alpha_hat, gamma, delta)
         if out.alpha > 0:
             accepted += 1
-            assert (out.z.tobytes(), out.f_new) in [(p.tobytes(), v) for p, v in out.samples]
+            assert (out.z.tobytes(), out.f_new) in [(p.tobytes(), v) for p, v in calls]
             # the point DF-SIMPLEX used to rebuild from (sign, alpha), bit for bit
             assert out.z.tobytes() == exchange_point(z, out.sign, i, j, out.alpha).tobytes()
         else:
@@ -130,13 +144,14 @@ def test_probe_count_bounded():
     for _ in range(300):
         phi, z, i, j, alpha_hat, gamma, delta = _random_case(rng)
         f_z = phi(z)
-        out = line_search(phi, z, f_z, i, j, alpha_hat, gamma, delta)
+        probed, calls = recording(phi)
+        out = line_search(probed, z, f_z, i, j, alpha_hat, gamma, delta)
         if out.alpha > 0:
             first = min(max(z[i], z[j]), alpha_hat)
             cap = 2 + int(np.ceil(np.log(1.0 / first) / np.log(1.0 / delta))) + 1
         else:
             cap = 2
-        assert len(out.samples) <= cap
+        assert len(calls) <= cap
 
 
 def test_matches_reference_implementation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import atomdfo.dfsimplex
 import atomdfo.ord
 from atomdfo.core import (
     AtomSet,
@@ -14,7 +15,7 @@ from atomdfo.core import (
     ZERO_TOL,
     is_simplex_point,
 )
-from atomdfo.dfsimplex import df_simplex_solve
+from atomdfo.dfsimplex import StopReason, df_simplex_solve
 from atomdfo.ord import (
     OrdStop,
     PoisednessFailure,
@@ -185,13 +186,11 @@ class TestSimplexGradient:
             phi = lambda y, c=c: float(c @ y + 3.0)
             y_bar = rng.dirichlet(np.ones(m))
             f_bar = phi(y_bar)
-            samples = []
+            points = np.tile(y_bar, (m - 1, 1))
             for i in range(1, m):
-                point = y_bar.copy()
-                point[i] += 1e-3
-                point[0] -= 1e-3
-                samples.append((point, phi(point)))
-            g = simplex_gradient(samples, y_bar, f_bar)
+                points[i - 1, i] += 1e-3
+                points[i - 1, 0] -= 1e-3
+            g = simplex_gradient(points, [phi(p) for p in points], y_bar, f_bar)
             assert np.max(np.abs(_tangent(g - c))) <= 1e-8
 
     def test_quadratic_error_order_epsilon(self):
@@ -203,16 +202,15 @@ class TestSimplexGradient:
         phi = lambda y: float(y[0] ** 2 + 2.0 * y[1] ** 2)
         y_bar = np.array([1.0, 0.0])
         probe = np.array([1.0 - eps, eps])
-        g = simplex_gradient([(probe, phi(probe))], y_bar, phi(y_bar))
+        g = simplex_gradient(probe[None, :], [phi(probe)], y_bar, phi(y_bar))
         assert np.max(np.abs(_tangent(g - np.array([2.0, 0.0])))) <= 10 * eps * 4.0
 
     def test_duplicate_samples_fail_poisedness(self):
         phi = lambda y: float(y[0])
         y_bar = np.array([0.5, 0.5, 0.0])
-        point = np.array([0.4, 0.6, 0.0])
-        samples = [(point, phi(point)), (point.copy(), phi(point))]
+        points = np.array([[0.4, 0.6, 0.0], [0.4, 0.6, 0.0]])
         with pytest.raises(PoisednessFailure):
-            simplex_gradient(samples, y_bar, phi(y_bar))
+            simplex_gradient(points, [phi(p) for p in points], y_bar, phi(y_bar))
 
 
 class TestDropPhase:
@@ -441,9 +439,9 @@ class TestOrdSolve:
         # the fit is skipped; with one, it is fitted exactly once
         calls = []
 
-        def counting(samples, y_bar, f_bar):
+        def counting(points, values, y_bar, f_bar):
             calls.append(y_bar)
-            return simplex_gradient(samples, y_bar, f_bar)
+            return simplex_gradient(points, values, y_bar, f_bar)
 
         monkeypatch.setattr(atomdfo.ord, "simplex_gradient", counting)
         rng = np.random.default_rng(4)
@@ -456,6 +454,42 @@ class TestOrdSolve:
         assert 0 < len(with_zero) < len(records)
         assert len(calls) == len(with_zero)
         assert all(a is rec.y_bar for a, rec in zip(calls, with_zero))
+
+    def test_gradient_fits_the_stopping_iteration_probes(self, monkeypatch):
+        # the fit reads the final poll and the ledger's tail: both must be
+        # what phi saw in the inner solve's stopping iteration, in order,
+        # and none of refine's evaluations, which follow the fit
+        last_sweep = []
+        fits = []
+        iterate = atomdfo.dfsimplex.df_simplex_iterate
+
+        def recording_iterate(state, phi, cfg):
+            calls = []
+
+            def recorded(y):
+                value = phi(y)
+                calls.append((y.copy(), value))
+                return value
+
+            out = iterate(state, recorded, cfg)
+            if out.stop is StopReason.TOLERANCE:
+                last_sweep[:] = calls
+            return out
+
+        def checked(points, values, y_bar, f_bar):
+            assert [p.tobytes() for p in points] == [p.tobytes() for p, _ in last_sweep]
+            assert list(values) == [v for _, v in last_sweep]
+            fits.append(objective.eval_count)
+            return simplex_gradient(points, values, y_bar, f_bar)
+
+        monkeypatch.setattr(atomdfo.dfsimplex, "df_simplex_iterate", recording_iterate)
+        monkeypatch.setattr(atomdfo.ord, "simplex_gradient", checked)
+        rng = np.random.default_rng(4)
+        atoms = AtomSet(rng.uniform(0, 10, (30, 4)))
+        c = atoms.atoms[:6].mean(axis=0)
+        objective = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2)))
+        ord_solve(objective, atoms, OrdConfig(rng_seed=1), 0)
+        assert fits and fits[-1] < objective.eval_count
 
     def test_start_id_validated(self):
         atoms = AtomSet(np.array([[0.0], [1.0]]))

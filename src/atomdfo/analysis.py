@@ -13,7 +13,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .core import BudgetedObjective, DfSimplexConfig, ZERO_TOL
-from .dfsimplex import df_simplex_solve, final_poll
+from .dfsimplex import df_simplex_solve
 from .linesearch import line_search
 
 CONE_ORACLE_CAP = 12
@@ -318,7 +318,7 @@ def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> Prop
     Only g - c with its mean removed is compared: the fit pins the component
     along the all-ones vector to zero, which the drop test cancels anyway.
     """
-    from .ord import simplex_gradient
+    from .ord import poll_gradient
 
     worst = -np.inf
     for _ in range(trials):
@@ -329,8 +329,7 @@ def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> Prop
         y0 = random_simplex_point(rng, m, int(rng.integers(0, m)))
         cfg = DfSimplexConfig(epsilon=1e-3)
         res = df_simplex_solve(phi, y0, cfg)
-        points = final_poll(res.y, cfg.epsilon)
-        d = simplex_gradient(points, phi.values[-len(points):], res.y, res.f) - c
+        d = poll_gradient(phi, res.y, res.f, cfg.epsilon) - c
         worst = max(worst, float(np.max(np.abs(d - d.mean()))))
     return PropertyReport("simplex-grad-affine", trials, 1e-8 - worst, worst <= 1e-8)
 

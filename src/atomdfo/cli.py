@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +33,6 @@ from .dfsimplex import df_simplex_solve
 from .ord import ord_solve
 
 SOLVER_NAMES = ("ord", "dfsimplex")
-MANIFEST_KEYS = {"pairs", "functions", "seeds", "solvers", "budget_factor", "ord", "dfsimplex"}
 
 TRACE_HEADER = ("eval", "f", "best_f")
 SUMMARY_HEADER = (
@@ -63,25 +62,41 @@ def _ord_config(options: Dict) -> OrdConfig:
     return OrdConfig(inner=inner, **opts)
 
 
+# how from_json turns a manifest value into its field; the other lists become tuples
+_FROM_JSON = {
+    "pairs": lambda pairs: tuple(map(tuple, pairs)),
+    "budget_factor": lambda factor: factor,
+    "ord": _ord_config,
+    "dfsimplex": lambda options: DfSimplexConfig(**options),
+}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """A benchmark suite: (n, m) grid x functions x seeds x solvers."""
+    """A benchmark suite: (n, m) grid x functions x seeds x solvers.
+
+    The field names are the manifest's keys and the field defaults its only
+    defaults. Every list names each entry once, and the integers are JSON
+    integers (``type(v) is int``, so neither ``true`` nor ``1.0``).
+    """
 
     pairs: Tuple[Tuple[int, int], ...]
     functions: Tuple[str, ...] = bench.FUNCTION_NAMES
     seeds: Tuple[int, ...] = (0,)
     solvers: Tuple[str, ...] = ("ord",)
     budget_factor: int = 100
-    ord_config: OrdConfig = field(default_factory=OrdConfig)
-    dfsimplex_config: DfSimplexConfig = field(default_factory=DfSimplexConfig)
+    ord: OrdConfig = field(default_factory=OrdConfig)
+    dfsimplex: DfSimplexConfig = field(default_factory=DfSimplexConfig)
 
     def __post_init__(self):
-        for key in ("pairs", "functions", "seeds", "solvers"):
-            if not getattr(self, key):
-                raise UsageError(f"suite needs a nonempty {key!r} list")
-        for n, m in self.pairs:
-            if n < 1 or m < 1:
-                raise UsageError(f"invalid pair (n={n}, m={m})")
+        for pair in self.pairs:
+            if len(pair) != 2 or not all(type(v) is int and v >= 1 for v in pair):
+                raise UsageError(f"invalid pair {list(pair)}: n and m must be integers >= 1")
+        for seed in self.seeds:
+            if type(seed) is not int or seed < 0:
+                raise UsageError(f"invalid seed {seed!r}: seeds must be integers >= 0")
+        if type(self.budget_factor) is not int or self.budget_factor < 1:
+            raise UsageError(f"budget_factor must be an integer >= 1, got {self.budget_factor!r}")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise UsageError(f"unknown solver(s) {unknown}; known: {SOLVER_NAMES}")
@@ -91,8 +106,13 @@ class SuiteConfig:
             for n, _ in self.pairs:
                 if not bench.valid_dimension(name, n):
                     raise UsageError(f"function {name!r} does not accept n={n}")
-        if self.budget_factor < 1:
-            raise UsageError("budget_factor must be positive")
+        # every entry is hashable once the checks above have passed
+        for key in ("pairs", "functions", "seeds", "solvers"):
+            values = getattr(self, key)
+            if not values:
+                raise UsageError(f"suite needs a nonempty {key!r} list")
+            if len(set(values)) < len(values):
+                raise UsageError(f"{key!r} names an entry more than once: {list(values)}")
 
     @classmethod
     def from_json(cls, path) -> "SuiteConfig":
@@ -101,71 +121,41 @@ class SuiteConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read manifest {path}: {exc}") from exc
         try:
-            unknown = sorted(set(raw) - MANIFEST_KEYS)
+            unknown = sorted(set(raw) - {f.name for f in fields(cls)})
             if unknown:
                 raise UsageError(f"bad manifest {path}: unknown keys {unknown}")
-            return cls(
-                pairs=tuple((int(n), int(m)) for n, m in raw["pairs"]),
-                functions=tuple(raw.get("functions", bench.FUNCTION_NAMES)),
-                seeds=tuple(int(s) for s in raw.get("seeds", [0])),
-                solvers=tuple(raw.get("solvers", ["ord"])),
-                budget_factor=int(raw.get("budget_factor", 100)),
-                ord_config=_ord_config(raw.get("ord", {})),
-                dfsimplex_config=DfSimplexConfig(**raw.get("dfsimplex", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**{key: _FROM_JSON.get(key, tuple)(value) for key, value in raw.items()})
+        except (AttributeError, TypeError, ValueError) as exc:
             raise UsageError(f"bad manifest {path}: {exc}") from exc
 
 
-def run_one(
-    name: str,
-    n: int,
-    m: int,
-    seed: int,
-    solver: str,
-    budget_factor: int = 100,
-    ord_config: OrdConfig = OrdConfig(),
-    dfsimplex_config: DfSimplexConfig = DfSimplexConfig(),
-):
-    """One deterministic (problem, solver) run.
+def run_one(name: str, n: int, m: int, seed: int, solver: str, suite: SuiteConfig):
+    """One deterministic (problem, solver) run of a suite.
 
-    Returns (problem id, solver, trace CSV text, summary row values);
-    picklable arguments so suites can fan out to worker processes.
+    Returns the trace CSV text and the summary row's last four columns,
+    (final_f, evals, sparsity, seconds); picklable arguments so suites can
+    fan out to worker processes.
     """
-    problem = bench.make_problem(name, n, m, seed, budget_factor)
+    problem = bench.make_problem(name, n, m, seed, suite.budget_factor)
     func = bench.make_test_function(name, n)
     objective = BudgetedObjective(func.value, budget=problem.budget)
     start = time.perf_counter()
     if solver == "ord":
-        cfg = replace(ord_config, rng_seed=seed)
-        result = ord_solve(objective, problem.atoms, cfg, problem.start_id)
-        final_f = result.f
+        result = ord_solve(objective, problem.atoms, replace(suite.ord, rng_seed=seed), problem.start_id)
         weights = np.zeros(m)
-        w = result.weights
-        weights[list(w.ids)] = w.w
+        weights[list(result.weights.ids)] = result.weights.w
     elif solver == "dfsimplex":
         y0 = np.zeros(m)
         y0[problem.start_id] = 1.0
         phi = lambda yv: objective(yv @ problem.atoms.atoms)  # noqa: E731
-        result = df_simplex_solve(phi, y0, dfsimplex_config)
-        final_f = result.f
+        result = df_simplex_solve(phi, y0, suite.dfsimplex)
         weights = result.y
     else:
         raise UsageError(f"unknown solver {solver!r}")
     seconds = time.perf_counter() - start
     sparsity = float(np.mean(weights <= ZERO_TOL))
-    summary = (
-        problem.problem_id,
-        solver,
-        n,
-        m,
-        seed,
-        f"{final_f:.17g}",
-        objective.eval_count,
-        f"{sparsity:.17g}",
-        f"{seconds:.6f}",
-    )
-    return problem.problem_id, solver, trace_csv(objective.values), summary
+    tail = (f"{result.f:.17g}", objective.eval_count, f"{sparsity:.17g}", f"{seconds:.6f}")
+    return trace_csv(objective.values), tail
 
 
 def trace_csv(values: Sequence[float]) -> str:
@@ -187,10 +177,11 @@ def trace_csv(values: Sequence[float]) -> str:
 
 
 def _run_task(task):
+    """run_one(*task), or (None, the exception's repr) when it raises."""
     try:
-        return ("ok", run_one(*task))
+        return run_one(*task)
     except Exception as exc:  # recorded per-row by cmd_run; the suite continues
-        return ("error", task, repr(exc))
+        return None, repr(exc)
 
 
 def _outcomes(tasks, workers: int):
@@ -215,7 +206,7 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1) -> int:
     # seed before function: the runs on one atom cloud are consecutive, so
     # bench's one-entry cloud cache generates each cloud once
     tasks = [
-        (name, n, m, seed, solver, suite.budget_factor, suite.ord_config, suite.dfsimplex_config)
+        (name, n, m, seed, solver, suite)
         for (n, m) in suite.pairs
         for seed in suite.seeds
         for name in suite.functions
@@ -226,28 +217,25 @@ def cmd_run(manifest_path, out_dir, jobs: int = 1) -> int:
 
     summary_rows = []
     n_failures = 0
-    n_traces = 0
-    for outcome in _outcomes(tasks, min(jobs, len(tasks))):
-        if outcome[0] == "ok":
-            problem_id, solver, trace, summary = outcome[1]
-            with open(_trace_path(out, problem_id, solver), "w", newline="") as fh:
-                fh.write(trace)
-            summary_rows.append(summary)
-            n_traces += 1
-        else:
-            _, task, message = outcome
-            name, n, m, seed, solver = task[:5]
-            problem_id = bench.problem_id(name, n, m, seed)
-            print(f"run failed for {problem_id} ({solver}): {message}", file=sys.stderr)
-            _trace_path(out, problem_id, solver).unlink(missing_ok=True)
-            summary_rows.append((problem_id, solver, n, m, seed, "nan", 0, "nan", "nan"))
+    workers = min(jobs, len(tasks))
+    for (name, n, m, seed, solver, _), (trace, tail) in zip(tasks, _outcomes(tasks, workers)):
+        problem_id = bench.problem_id(name, n, m, seed)
+        path = _trace_path(out, problem_id, solver)
+        if trace is None:  # the run raised, and tail is the exception's repr
+            print(f"run failed for {problem_id} ({solver}): {tail}", file=sys.stderr)
+            path.unlink(missing_ok=True)
+            tail = ("nan", 0, "nan", "nan")
             n_failures += 1
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(trace)
+        summary_rows.append((problem_id, solver, n, m, seed) + tail)
     summary_rows.sort(key=lambda row: (row[0], row[1]))
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
         writer.writerows(summary_rows)
-    print(f"wrote {n_traces} trace files + summary.csv to {out}")
+    print(f"wrote {len(tasks) - n_failures} trace files + summary.csv to {out}")
     return 0 if n_failures == 0 else 1
 
 
@@ -282,6 +270,11 @@ def load_run_records(trace_dir) -> List[profiles.RunRecord]:
         raise UsageError(f"no summary.csv in {trace_dir}")
     with open(summary_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    # the profiles compare one run of every solver on every problem
+    problems = sorted({row["problem"] for row in rows})
+    solvers = sorted({row["solver"] for row in rows})
+    if sorted((r["problem"], r["solver"]) for r in rows) != [(p, s) for p in problems for s in solvers]:
+        raise UsageError(f"{summary_path}: not one row for each problem and solver {solvers}")
     failed: Dict[str, List[str]] = {}
     for row in rows:
         if row["final_f"] == "nan":
@@ -292,22 +285,22 @@ def load_run_records(trace_dir) -> List[profiles.RunRecord]:
     for row in rows:
         if row["problem"] in failed:
             continue
-        best = _read_best_f(_trace_path(trace_dir, row["problem"], row["solver"]))
-        records.append(
-            profiles.RunRecord(
-                problem_id=row["problem"],
-                solver_id=row["solver"],
-                n_p=int(row["n"]),
-                history=best,
-                f0=float(best[0]),
-            )
-        )
+        path = _trace_path(trace_dir, row["problem"], row["solver"])
+        best = _read_best_f(path)
+        try:
+            record = profiles.RunRecord(row["problem"], row["solver"], int(row["n"]), best, float(best[0]))
+        except ValueError as exc:  # a best_f column that rises
+            raise UsageError(f"{path}: {exc}") from exc
+        records.append(record)
     if not records:
         raise UsageError(f"{trace_dir} contains no runs")
     return records
 
 
 def cmd_profile(trace_dir, out_dir, taus: Sequence[float]) -> int:
+    bad = [tau for tau in taus if not 0.0 < tau < 1.0]
+    if bad:
+        raise UsageError(f"--tau must be in (0, 1), got {bad}")
     records = load_run_records(trace_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -321,6 +314,8 @@ def cmd_profile(trace_dir, out_dir, taus: Sequence[float]) -> int:
 
 
 def cmd_verify(level: str, seed: int) -> int:
+    if seed < 0:
+        raise UsageError(f"--seed must be at least 0, got {seed}")
     reports = run_property_suite(level=level, seed=seed)
     for report in reports:
         print(report.line())

@@ -151,6 +151,25 @@ def simplex_gradient(
     return g
 
 
+def poll_gradient(
+    objective: BudgetedObjective,
+    y_bar: np.ndarray,
+    f_bar: float,
+    epsilon: float,
+) -> np.ndarray:
+    """simplex_gradient fitted to the final poll of an inner solve that ended at y_bar.
+
+    Makes no evaluation: a TOLERANCE stop at tolerance epsilon probed
+    final_poll(y_bar, epsilon), so right after the solve those probes' values
+    are the last entries of the objective's ledger. Raises PoisednessFailure
+    as simplex_gradient does.
+    """
+    points = final_poll(y_bar, epsilon)
+    values = objective.values
+    # values[-0:] would be the whole ledger, so the slice starts at its length
+    return simplex_gradient(points, values[len(values) - len(points):], y_bar, f_bar)
+
+
 def drop_phase(
     active_ids: Sequence[int],
     y_bar: np.ndarray,
@@ -288,10 +307,8 @@ def ord_solve(
         gradient = None  # None drops by the plain zero-weight rule
         # with no zero weight nothing is droppable whatever g is, so skip the fit
         if cfg.drop_rule is DropRule.GRADIENT_FILTERED and (y_bar <= ZERO_TOL).any():
-            # the poll is the ledger's tail, nonempty since a weight is zero
-            points = final_poll(y_bar, eps_k)
             try:
-                gradient = simplex_gradient(points, objective.values[-len(points):], y_bar, f_bar)
+                gradient = poll_gradient(objective, y_bar, f_bar, eps_k)
             except PoisednessFailure:
                 pass
         dropped = drop_phase(active, y_bar, gradient)

@@ -48,7 +48,7 @@ def _run_suite(tmp, solver, ms):
     for m in ms:
         for seed in SEEDS:
             for name in bench.FUNCTION_NAMES:
-                pid = f"{name}_n{N}_m{m}_seed{seed}"
+                pid = bench.problem_id(name, N, m, seed)
                 runs[(name, m, seed)] = (histories[pid], sparsity[pid])
     return runs
 

@@ -146,12 +146,12 @@ class TestRun:
         original = cli.run_one
         finished, seen = [], []
 
-        def watched(*args):
-            traces = sum((out / f"{pid}__{solver}.csv").is_file() for pid, solver in finished)
+        def watched(name, n, m, seed, solver, suite):
+            traces = sum((out / f"{pid}__{s}.csv").is_file() for pid, s in finished)
             seen.append((len(finished), traces, (out / "summary.csv").exists()))
-            problem_id, solver, trace, summary = original(*args)
-            finished.append((problem_id, solver))
-            return problem_id, solver, trace, summary
+            outcome = original(name, n, m, seed, solver, suite)
+            finished.append((bench.problem_id(name, n, m, seed), solver))
+            return outcome
 
         monkeypatch.setattr(cli, "run_one", watched)
         manifest = write_manifest(tmp_path / "suite.json")
@@ -236,10 +236,13 @@ class TestTraceCsv:
         assert cli.trace_csv([]) == self.csv_writer_reference([])
 
     def test_run_one_returns_the_trace_text(self):
-        _, _, text, summary = cli.run_one("power", 2, 6, 0, "ord", 20)
+        suite = cli.SuiteConfig(pairs=((2, 6),), functions=("power",), budget_factor=20)
+        text, (final_f, evals, sparsity, seconds) = cli.run_one("power", 2, 6, 0, "ord", suite)
         rows = text.split("\r\n")
         assert rows[0] == "eval,f,best_f" and rows[-1] == ""
-        assert len(rows) - 2 == summary[6]
+        assert len(rows) - 2 == evals
+        assert float(final_f) == min(float(row.split(",")[1]) for row in rows[1:-1])
+        assert 0.0 <= float(sparsity) <= 1.0 and float(seconds) >= 0.0
 
 
 def make_trace_dir(tmp_path, t_by_run, length=40, n=5):
@@ -371,6 +374,36 @@ class TestProfile:
         assert cli.main(["profile", "--traces", str(traces), "--out", str(tmp_path / "o")]) == 2
         assert "contains no runs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["2", "0", "1", "-0.5", "nan"])
+    def test_tau_outside_the_open_unit_interval(self, tmp_path, capsys, tau):
+        traces = make_trace_dir(tmp_path, {("p1", "s1"): 5})
+        out = tmp_path / "profiles"
+        assert cli.main(["profile", "--traces", str(traces), "--out", str(out), "--tau", tau]) == 2
+        assert "--tau must be in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rising_best_f_names_the_file(self, tmp_path, capsys):
+        traces = make_trace_dir(tmp_path, {("p1", "s1"): 5})
+        (traces / "p1__s1.csv").write_text("eval,f,best_f\n1,2,2\n2,1,3\n")
+        assert cli.main(["profile", "--traces", str(traces), "--out", str(tmp_path / "o")]) == 2
+        assert "p1__s1.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda rows: rows[1:], lambda rows: rows[:2] + rows[3:], lambda rows: rows + rows[:1]],
+        ids=["first-row-missing", "third-row-missing", "first-row-repeated"],
+    )
+    def test_summary_without_one_row_per_run_names_the_file(self, tmp_path, capsys, edit):
+        runs = {("p1", "s1"): 5, ("p1", "s2"): 6, ("p2", "s1"): 7, ("p2", "s2"): 8}
+        traces = make_trace_dir(tmp_path, runs)
+        rows = read_summary(traces)
+        with open(traces / "summary.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=cli.SUMMARY_HEADER)
+            writer.writeheader()
+            writer.writerows(edit(rows))
+        assert cli.main(["profile", "--traces", str(traces), "--out", str(tmp_path / "o")]) == 2
+        assert "summary.csv" in capsys.readouterr().err
+
     def test_default_tau_grid_writes_six_files(self, tmp_path):
         traces = make_trace_dir(tmp_path, {("p1", "s1"): 5})
         out = tmp_path / "profiles"
@@ -396,11 +429,32 @@ class TestSuiteConfig:
             {"solvers": []},
             {"ord": {"rng_seed": 1}},
             {"ord": {"eps_min": 1e-4}},
+            # an entry named twice would run twice and write one file twice
+            {"solvers": ["ord", "ord"]},
+            {"seeds": [0, 0]},
+            {"pairs": [[2, 6], [2, 6]]},
+            {"functions": ["power", "power"]},
+            # integers must be JSON integers: no silent truncation or bools
+            {"seeds": [1.7]},
+            {"seeds": [True]},
+            {"seeds": [-1]},
+            {"pairs": [[2.9, 5]]},
+            {"pairs": [[2, 6.0]]},
+            {"pairs": [[2, 6, 1]]},
+            {"budget_factor": True},
+            {"budget_factor": 20.0},
+            {"budget_factor": "20"},
         ],
     )
     def test_invalid_manifest_fields(self, tmp_path, overrides):
         manifest = write_manifest(tmp_path / "suite.json", **overrides)
         assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_defaults_come_from_the_fields(self, tmp_path):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"pairs": [[2, 6]]}))
+        assert cli.SuiteConfig.from_json(path) == cli.SuiteConfig(pairs=((2, 6),))
 
     def test_unknown_manifest_key(self, tmp_path, capsys):
         # misspelt keys would otherwise run ORD with the default budget_factor
@@ -479,6 +533,11 @@ class TestVerify:
         lines = [ln for ln in out.splitlines() if "trials=" in ln]
         assert len(lines) >= 6
         assert all("PASS" in ln for ln in lines)
+
+    def test_negative_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_property_suite", lambda level, seed: 1 / 0)
+        assert cli.main(["verify", "--seed", "-1"]) == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
 
     def test_injected_failure_flips_exit_code(self, monkeypatch, capsys):
         broken = [PropertyReport("cone-measure", 10, -1.0, False)]

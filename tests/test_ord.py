@@ -23,6 +23,7 @@ from atomdfo.ord import (
     drop_phase,
     farthest_distance,
     ord_solve,
+    poll_gradient,
     reexpress_weights,
     refine_phase,
     simplex_gradient,
@@ -211,6 +212,46 @@ class TestSimplexGradient:
         points = np.array([[0.4, 0.6, 0.0], [0.4, 0.6, 0.0]])
         with pytest.raises(PoisednessFailure):
             simplex_gradient(points, [phi(p) for p in points], y_bar, phi(y_bar))
+
+
+class TestPollGradient:
+    def test_fits_the_ledger_tail(self):
+        # the fit reads as many ledger values as the poll has points, the
+        # last ones; values a later evaluation appends would shift it
+        rng = np.random.default_rng(3)
+        for m in range(2, 7):
+            c = rng.normal(size=m)
+            objective = BudgetedObjective(lambda y, c=c: float(c @ y - 1.0))
+            res = df_simplex_solve(objective, np.eye(m)[0], DfSimplexConfig(epsilon=1e-3))
+            g = poll_gradient(objective, res.y, res.f, 1e-3)
+            assert np.max(np.abs(_tangent(g - c))) <= 1e-8
+
+    def test_empty_poll_reads_no_value(self):
+        # m = 1: the poll is empty, and values[-0:] would be the whole ledger
+        objective = BudgetedObjective(lambda y: 5.0)
+        res = df_simplex_solve(objective, np.array([1.0]), DfSimplexConfig(epsilon=1e-3))
+        assert objective.eval_count > 0
+        assert poll_gradient(objective, res.y, res.f, 1e-3).tolist() == [0.0]
+
+    def test_ord_and_the_affine_check_fit_through_it(self, monkeypatch):
+        from atomdfo.analysis import check_simplex_gradient_affine
+
+        callers = []
+
+        def recording(objective, y_bar, f_bar, epsilon):
+            callers.append(objective)
+            return poll_gradient(objective, y_bar, f_bar, epsilon)
+
+        monkeypatch.setattr(atomdfo.ord, "poll_gradient", recording)
+        rng = np.random.default_rng(4)
+        atoms = AtomSet(rng.uniform(0, 10, (30, 4)))
+        c = atoms.atoms[:6].mean(axis=0)
+        objective = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2)))
+        ord_solve(objective, atoms, OrdConfig(rng_seed=1), 0)
+        assert callers and all(o is objective for o in callers)
+        callers.clear()
+        assert check_simplex_gradient_affine(3, np.random.default_rng(9)).passed
+        assert len(callers) == 3
 
 
 class TestDropPhase:

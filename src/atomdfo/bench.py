@@ -1,10 +1,11 @@
 """Problem generators: the 25-function catalog, uniform atom clouds, l1-ball atoms.
 
 Function formulas follow the standard unconstrained-collection definitions
-(Andrei's collection and CUTEst); each entry carries its analytic gradient,
-which only the verification layer consumes. Every pair is validated against
-central finite differences in the test suite, which is the contract that
-matters downstream.
+(Andrei's collection and CUTEst). Each gradient comes by complex step from its
+value function (Squire & Trapp, SIAM Review 40(1), 1998), exact to rounding.
+The solvers never read a gradient: its consumers are the benchmark's
+Frank-Wolfe reference values and the tests, which check it against central
+finite differences.
 """
 from __future__ import annotations
 
@@ -39,81 +40,36 @@ def _arwhead(x):
     # ARWHEAD (CUTEst): sum (x_i^2 + x_n^2)^2 - 4 x_i + 3 over i < n
     head, tail = x[:-1], x[-1]
     t = head**2 + tail**2
-    return float((t**2 - 4.0 * head + 3.0).sum())
-
-
-def _arwhead_grad(x):
-    head, tail = x[:-1], x[-1]
-    t = head**2 + tail**2
-    g = np.zeros_like(x)
-    g[:-1] = 4.0 * t * head - 4.0
-    g[-1] = 4.0 * tail * t.sum()
-    return g
+    return (t**2 - 4.0 * head + 3.0).sum()
 
 
 def _cosine(x):
     # COSINE (CUTEst): sum cos(x_i^2 - 0.5 x_{i+1})
     u = x[:-1] ** 2 - 0.5 * x[1:]
-    return float(np.cos(u).sum())
-
-
-def _cosine_grad(x):
-    u = x[:-1] ** 2 - 0.5 * x[1:]
-    g = np.zeros_like(x)
-    g[:-1] += -np.sin(u) * 2.0 * x[:-1]
-    g[1:] += 0.5 * np.sin(u)
-    return g
+    return np.cos(u).sum()
 
 
 def _sine(x):
     # SINE: sine analogue of COSINE, sum sin(x_i^2 - 0.5 x_{i+1})
     u = x[:-1] ** 2 - 0.5 * x[1:]
-    return float(np.sin(u).sum())
-
-
-def _sine_grad(x):
-    u = x[:-1] ** 2 - 0.5 * x[1:]
-    g = np.zeros_like(x)
-    g[:-1] += np.cos(u) * 2.0 * x[:-1]
-    g[1:] += -0.5 * np.cos(u)
-    return g
+    return np.sin(u).sum()
 
 
 def _cube(x):
     # CUBE: (x_1 - 1)^2 + 100 sum (x_i - x_{i-1}^3)^2
     r = x[1:] - x[:-1] ** 3
-    return float((x[0] - 1.0) ** 2 + 100.0 * (r**2).sum())
-
-
-def _cube_grad(x):
-    r = x[1:] - x[:-1] ** 3
-    g = np.zeros_like(x)
-    g[0] = 2.0 * (x[0] - 1.0)
-    g[1:] += 200.0 * r
-    g[:-1] += -600.0 * x[:-1] ** 2 * r
-    return g
+    return (x[0] - 1.0) ** 2 + 100.0 * (r**2).sum()
 
 
 def _diagonal8(x):
     # Diagonal 8 (Andrei): sum x_i exp(x_i) - 2 x_i - x_i^2
-    return float((x * np.exp(x) - 2.0 * x - x**2).sum())
-
-
-def _diagonal8_grad(x):
-    return np.exp(x) * (1.0 + x) - 2.0 - 2.0 * x
+    return (x * np.exp(x) - 2.0 * x - x**2).sum()
 
 
 def _ext_penalty(x):
     # Extended penalty (Andrei): sum_{i<n} (x_i - 1)^2 + (sum x_j^2 - 0.25)^2
-    t = float((x**2).sum() - 0.25)
-    return float(((x[:-1] - 1.0) ** 2).sum() + t**2)
-
-
-def _ext_penalty_grad(x):
-    t = float((x**2).sum() - 0.25)
-    g = 4.0 * t * x
-    g[:-1] += 2.0 * (x[:-1] - 1.0)
-    return g
+    t = (x**2).sum() - 0.25
+    return ((x[:-1] - 1.0) ** 2).sum() + t**2
 
 
 def _ext_trigonometric(x):
@@ -121,108 +77,51 @@ def _ext_trigonometric(x):
     n = len(x)
     i = np.arange(1, n + 1)
     r = (n - np.cos(x).sum()) + i * (1.0 - np.cos(x)) - np.sin(x)
-    return float((r**2).sum())
-
-
-def _ext_trigonometric_grad(x):
-    n = len(x)
-    i = np.arange(1, n + 1)
-    r = (n - np.cos(x).sum()) + i * (1.0 - np.cos(x)) - np.sin(x)
-    return 2.0 * np.sin(x) * r.sum() + 2.0 * r * (i * np.sin(x) - np.cos(x))
+    return (r**2).sum()
 
 
 def _fletchcr(x):
     # FLETCHCR (CUTEst): 100 sum (x_{i+1} - x_i + 1 - x_i^2)^2
     r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-    return float(100.0 * (r**2).sum())
-
-
-def _fletchcr_grad(x):
-    r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-    g = np.zeros_like(x)
-    g[1:] += 200.0 * r
-    g[:-1] += 200.0 * r * (-1.0 - 2.0 * x[:-1])
-    return g
+    return 100.0 * (r**2).sum()
 
 
 def _genhumps(x):
     # GENHUMPS (CUTEst): sum sin(2x_i)^2 sin(2x_{i+1})^2 + 0.05 (x_i^2 + x_{i+1}^2)
     s = np.sin(2.0 * x)
-    return float((s[:-1] ** 2 * s[1:] ** 2 + 0.05 * (x[:-1] ** 2 + x[1:] ** 2)).sum())
-
-
-def _genhumps_grad(x):
-    s = np.sin(2.0 * x)
-    c = np.cos(2.0 * x)
-    g = np.zeros_like(x)
-    g[:-1] += 4.0 * s[:-1] * c[:-1] * s[1:] ** 2 + 0.1 * x[:-1]
-    g[1:] += 4.0 * s[1:] * c[1:] * s[:-1] ** 2 + 0.1 * x[1:]
-    return g
+    return (s[:-1] ** 2 * s[1:] ** 2 + 0.05 * (x[:-1] ** 2 + x[1:] ** 2)).sum()
 
 
 def _mccormck(x):
     # MCCORMCK (CUTEst): sum -1.5 x_i + 2.5 x_{i+1} + 1 + (x_i - x_{i+1})^2 + sin(x_i + x_{i+1})
     u, v = x[:-1], x[1:]
-    return float((-1.5 * u + 2.5 * v + 1.0 + (u - v) ** 2 + np.sin(u + v)).sum())
-
-
-def _mccormck_grad(x):
-    u, v = x[:-1], x[1:]
-    cs = np.cos(u + v)
-    g = np.zeros_like(x)
-    g[:-1] += -1.5 + 2.0 * (u - v) + cs
-    g[1:] += 2.5 - 2.0 * (u - v) + cs
-    return g
+    return (-1.5 * u + 2.5 * v + 1.0 + (u - v) ** 2 + np.sin(u + v)).sum()
 
 
 def _power(x):
     # Power (Andrei): sum (i x_i)^2
     i = np.arange(1, len(x) + 1)
-    return float(((i * x) ** 2).sum())
-
-
-def _power_grad(x):
-    i = np.arange(1, len(x) + 1)
-    return 2.0 * i**2 * x
+    return ((i * x) ** 2).sum()
 
 
 def _quartc(x):
     # QUARTC (CUTEst): sum (x_i - i)^4
     i = np.arange(1, len(x) + 1)
-    return float(((x - i) ** 4).sum())
-
-
-def _quartc_grad(x):
-    i = np.arange(1, len(x) + 1)
-    return 4.0 * (x - i) ** 3
+    return ((x - i) ** 4).sum()
 
 
 def _staircase1(x):
     # Staircase S1 (Andrei): sum (s_i - i)^2 with s_i the cumulative sum
     s = np.cumsum(x)
     i = np.arange(1, len(x) + 1)
-    return float(((s - i) ** 2).sum())
-
-
-def _staircase1_grad(x):
-    s = np.cumsum(x)
-    i = np.arange(1, len(x) + 1)
-    r = 2.0 * (s - i)
-    return np.cumsum(r[::-1])[::-1]
+    return ((s - i) ** 2).sum()
 
 
 def _staircase2(x):
     # Staircase S2 (Andrei): sum (s_i - 2i)^2 with s_i the cumulative sum
     s = np.cumsum(x)
     i = np.arange(1, len(x) + 1)
-    return float(((s - 2.0 * i) ** 2).sum())
-
-
-def _staircase2_grad(x):
-    s = np.cumsum(x)
-    i = np.arange(1, len(x) + 1)
-    r = 2.0 * (s - 2.0 * i)
-    return np.cumsum(r[::-1])[::-1]
+    return ((s - 2.0 * i) ** 2).sum()
 
 
 # --- pairwise "Extended" entries (even n) -----------------------------------
@@ -233,214 +132,118 @@ def _ext_beale(x):
     r1 = 1.5 - u * (1.0 - v)
     r2 = 2.25 - u * (1.0 - v**2)
     r3 = 2.625 - u * (1.0 - v**3)
-    return float((r1**2 + r2**2 + r3**2).sum())
-
-
-def _ext_beale_grad(x):
-    u, v = _pairs(x)
-    r1 = 1.5 - u * (1.0 - v)
-    r2 = 2.25 - u * (1.0 - v**2)
-    r3 = 2.625 - u * (1.0 - v**3)
-    g = np.zeros_like(x)
-    g[0::2] = -2.0 * (r1 * (1.0 - v) + r2 * (1.0 - v**2) + r3 * (1.0 - v**3))
-    g[1::2] = 2.0 * u * (r1 + 2.0 * r2 * v + 3.0 * r3 * v**2)
-    return g
+    return (r1**2 + r2**2 + r3**2).sum()
 
 
 def _ext_cliff(x):
     # Extended Cliff: ((u-3)/100)^2 - (u-v) + exp(20(u-v)) per pair
     u, v = _pairs(x)
-    return float((((u - 3.0) / 100.0) ** 2 - (u - v) + np.exp(20.0 * (u - v))).sum())
-
-
-def _ext_cliff_grad(x):
-    u, v = _pairs(x)
-    e = np.exp(20.0 * (u - v))
-    g = np.zeros_like(x)
-    g[0::2] = (u - 3.0) / 5000.0 - 1.0 + 20.0 * e
-    g[1::2] = 1.0 - 20.0 * e
-    return g
+    return (((u - 3.0) / 100.0) ** 2 - (u - v) + np.exp(20.0 * (u - v))).sum()
 
 
 def _ext_denschnb(x):
     u, v = _pairs(x)
-    return float(((u - 2.0) ** 2 + ((u - 2.0) ** 2) * v**2 + (v + 1.0) ** 2).sum())
-
-
-def _ext_denschnb_grad(x):
-    u, v = _pairs(x)
-    g = np.zeros_like(x)
-    g[0::2] = 2.0 * (u - 2.0) * (1.0 + v**2)
-    g[1::2] = 2.0 * ((u - 2.0) ** 2) * v + 2.0 * (v + 1.0)
-    return g
+    return ((u - 2.0) ** 2 + ((u - 2.0) ** 2) * v**2 + (v + 1.0) ** 2).sum()
 
 
 def _ext_denschnf(x):
     u, v = _pairs(x)
     r1 = 2.0 * (u + v) ** 2 + (u - v) ** 2 - 8.0
     r2 = 5.0 * u**2 + (v - 3.0) ** 2 - 9.0
-    return float((r1**2 + r2**2).sum())
-
-
-def _ext_denschnf_grad(x):
-    u, v = _pairs(x)
-    r1 = 2.0 * (u + v) ** 2 + (u - v) ** 2 - 8.0
-    r2 = 5.0 * u**2 + (v - 3.0) ** 2 - 9.0
-    g = np.zeros_like(x)
-    g[0::2] = 2.0 * r1 * (4.0 * (u + v) + 2.0 * (u - v)) + 20.0 * r2 * u
-    g[1::2] = 2.0 * r1 * (4.0 * (u + v) - 2.0 * (u - v)) + 4.0 * r2 * (v - 3.0)
-    return g
+    return (r1**2 + r2**2).sum()
 
 
 def _ext_freudenstein_roth(x):
     u, v = _pairs(x)
     r1 = -13.0 + u + ((5.0 - v) * v - 2.0) * v
     r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
-    return float((r1**2 + r2**2).sum())
-
-
-def _ext_freudenstein_roth_grad(x):
-    u, v = _pairs(x)
-    r1 = -13.0 + u + ((5.0 - v) * v - 2.0) * v
-    r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
-    g = np.zeros_like(x)
-    g[0::2] = 2.0 * (r1 + r2)
-    g[1::2] = 2.0 * r1 * (10.0 * v - 3.0 * v**2 - 2.0) + 2.0 * r2 * (
-        3.0 * v**2 + 2.0 * v - 14.0
-    )
-    return g
+    return (r1**2 + r2**2).sum()
 
 
 def _ext_hiebert(x):
     u, v = _pairs(x)
-    return float(((u - 10.0) ** 2 + (u * v - 50000.0) ** 2).sum())
-
-
-def _ext_hiebert_grad(x):
-    u, v = _pairs(x)
-    g = np.zeros_like(x)
-    g[0::2] = 2.0 * (u - 10.0) + 2.0 * (u * v - 50000.0) * v
-    g[1::2] = 2.0 * (u * v - 50000.0) * u
-    return g
+    return ((u - 10.0) ** 2 + (u * v - 50000.0) ** 2).sum()
 
 
 def _ext_himmelblau(x):
     u, v = _pairs(x)
     r1 = u**2 + v - 11.0
     r2 = u + v**2 - 7.0
-    return float((r1**2 + r2**2).sum())
-
-
-def _ext_himmelblau_grad(x):
-    u, v = _pairs(x)
-    r1 = u**2 + v - 11.0
-    r2 = u + v**2 - 7.0
-    g = np.zeros_like(x)
-    g[0::2] = 4.0 * r1 * u + 2.0 * r2
-    g[1::2] = 2.0 * r1 + 4.0 * r2 * v
-    return g
+    return (r1**2 + r2**2).sum()
 
 
 def _ext_maratos(x):
     u, v = _pairs(x)
     t = u**2 + v**2 - 1.0
-    return float((u + 100.0 * t**2).sum())
-
-
-def _ext_maratos_grad(x):
-    u, v = _pairs(x)
-    t = u**2 + v**2 - 1.0
-    g = np.zeros_like(x)
-    g[0::2] = 1.0 + 400.0 * t * u
-    g[1::2] = 400.0 * t * v
-    return g
+    return (u + 100.0 * t**2).sum()
 
 
 def _ext_psc1(x):
     u, v = _pairs(x)
     t = u**2 + v**2 + u * v
-    return float((t**2 + np.sin(u) ** 2 + np.cos(v) ** 2).sum())
-
-
-def _ext_psc1_grad(x):
-    u, v = _pairs(x)
-    t = u**2 + v**2 + u * v
-    g = np.zeros_like(x)
-    g[0::2] = 2.0 * t * (2.0 * u + v) + 2.0 * np.sin(u) * np.cos(u)
-    g[1::2] = 2.0 * t * (2.0 * v + u) - 2.0 * np.cos(v) * np.sin(v)
-    return g
+    return (t**2 + np.sin(u) ** 2 + np.cos(v) ** 2).sum()
 
 
 def _ext_rosenbrock(x):
     u, v = _pairs(x)
-    return float((100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2).sum())
-
-
-def _ext_rosenbrock_grad(x):
-    u, v = _pairs(x)
-    g = np.zeros_like(x)
-    g[0::2] = -400.0 * u * (v - u**2) - 2.0 * (1.0 - u)
-    g[1::2] = 200.0 * (v - u**2)
-    return g
+    return (100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2).sum()
 
 
 def _ext_white_holst(x):
     u, v = _pairs(x)
-    return float((100.0 * (v - u**3) ** 2 + (1.0 - u) ** 2).sum())
+    return (100.0 * (v - u**3) ** 2 + (1.0 - u) ** 2).sum()
 
 
-def _ext_white_holst_grad(x):
-    u, v = _pairs(x)
-    g = np.zeros_like(x)
-    g[0::2] = -600.0 * u**2 * (v - u**3) - 2.0 * (1.0 - u)
-    g[1::2] = 200.0 * (v - u**3)
-    return g
-
-
-# name -> (value, gradient, requires_even_n, min_n)
-_CATALOG: Dict[str, Tuple[Callable, Callable, bool, int]] = {
-    "arwhead": (_arwhead, _arwhead_grad, False, 2),
-    "cosine": (_cosine, _cosine_grad, False, 2),
-    "cube": (_cube, _cube_grad, False, 2),
-    "diagonal8": (_diagonal8, _diagonal8_grad, False, 1),
-    "ext_beale": (_ext_beale, _ext_beale_grad, True, 2),
-    "ext_cliff": (_ext_cliff, _ext_cliff_grad, True, 2),
-    "ext_denschnb": (_ext_denschnb, _ext_denschnb_grad, True, 2),
-    "ext_denschnf": (_ext_denschnf, _ext_denschnf_grad, True, 2),
-    "ext_freudenstein_roth": (_ext_freudenstein_roth, _ext_freudenstein_roth_grad, True, 2),
-    "ext_hiebert": (_ext_hiebert, _ext_hiebert_grad, True, 2),
-    "ext_himmelblau": (_ext_himmelblau, _ext_himmelblau_grad, True, 2),
-    "ext_maratos": (_ext_maratos, _ext_maratos_grad, True, 2),
-    "ext_penalty": (_ext_penalty, _ext_penalty_grad, False, 2),
-    "ext_psc1": (_ext_psc1, _ext_psc1_grad, True, 2),
-    "ext_rosenbrock": (_ext_rosenbrock, _ext_rosenbrock_grad, True, 2),
-    "ext_trigonometric": (_ext_trigonometric, _ext_trigonometric_grad, False, 1),
-    "ext_white_holst": (_ext_white_holst, _ext_white_holst_grad, True, 2),
-    "fletchcr": (_fletchcr, _fletchcr_grad, False, 2),
-    "genhumps": (_genhumps, _genhumps_grad, False, 2),
-    "mccormck": (_mccormck, _mccormck_grad, False, 2),
-    "power": (_power, _power_grad, False, 1),
-    "quartc": (_quartc, _quartc_grad, False, 1),
-    "sine": (_sine, _sine_grad, False, 2),
-    "staircase1": (_staircase1, _staircase1_grad, False, 1),
-    "staircase2": (_staircase2, _staircase2_grad, False, 1),
+# name -> (value, requires_even_n, min_n). Each value is a real-analytic numpy
+# expression, so it also takes complex input and the complex step gives its
+# gradient: no float(), abs, min/max or comparison on the point.
+_CATALOG: Dict[str, Tuple[Callable, bool, int]] = {
+    "arwhead": (_arwhead, False, 2),
+    "cosine": (_cosine, False, 2),
+    "cube": (_cube, False, 2),
+    "diagonal8": (_diagonal8, False, 1),
+    "ext_beale": (_ext_beale, True, 2),
+    "ext_cliff": (_ext_cliff, True, 2),
+    "ext_denschnb": (_ext_denschnb, True, 2),
+    "ext_denschnf": (_ext_denschnf, True, 2),
+    "ext_freudenstein_roth": (_ext_freudenstein_roth, True, 2),
+    "ext_hiebert": (_ext_hiebert, True, 2),
+    "ext_himmelblau": (_ext_himmelblau, True, 2),
+    "ext_maratos": (_ext_maratos, True, 2),
+    "ext_penalty": (_ext_penalty, False, 2),
+    "ext_psc1": (_ext_psc1, True, 2),
+    "ext_rosenbrock": (_ext_rosenbrock, True, 2),
+    "ext_trigonometric": (_ext_trigonometric, False, 1),
+    "ext_white_holst": (_ext_white_holst, True, 2),
+    "fletchcr": (_fletchcr, False, 2),
+    "genhumps": (_genhumps, False, 2),
+    "mccormck": (_mccormck, False, 2),
+    "power": (_power, False, 1),
+    "quartc": (_quartc, False, 1),
+    "sine": (_sine, False, 2),
+    "staircase1": (_staircase1, False, 1),
+    "staircase2": (_staircase2, False, 1),
 }
 
 FUNCTION_NAMES = tuple(sorted(_CATALOG))
+
+# Im f(x + ih e_i) / h = df/dx_i + O(h^2) takes no difference of nearby values,
+# so h sits far below rounding and the O(h^2) term vanishes in float64.
+_COMPLEX_STEP = 1e-100
 
 
 def valid_dimension(name: str, n: int) -> bool:
     if name not in _CATALOG:
         return False
-    _, _, even, min_n = _CATALOG[name]
+    _, even, min_n = _CATALOG[name]
     return n >= min_n and (not even or n % 2 == 0)
 
 
 def make_test_function(name: str, n: int) -> BenchFunction:
-    """Instantiate a catalog function at dimension n, with its analytic gradient."""
+    """Instantiate a catalog function at dimension n, with its complex-step gradient."""
     if name not in _CATALOG:
         raise KeyError(f"unknown function {name!r}; known: {', '.join(FUNCTION_NAMES)}")
-    value, gradient, even, min_n = _CATALOG[name]
+    value, even, min_n = _CATALOG[name]
     if n < min_n:
         raise ValueError(f"{name} needs n >= {min_n}, got {n}")
     if even and n % 2 != 0:
@@ -450,13 +253,19 @@ def make_test_function(name: str, n: int) -> BenchFunction:
         x = np.asarray(x, dtype=float)
         if x.shape != (_n,):
             raise ValueError(f"expected point of shape ({_n},), got {x.shape}")
-        return _v(x)
+        return float(_v(x))
 
-    def g(x, _g=gradient, _n=n):
+    def g(x, _v=value, _n=n):
         x = np.asarray(x, dtype=float)
         if x.shape != (_n,):
             raise ValueError(f"expected point of shape ({_n},), got {x.shape}")
-        return _g(x)
+        z = x.astype(complex)
+        grad = np.empty(_n)
+        for i in range(_n):
+            z[i] += _COMPLEX_STEP * 1j
+            grad[i] = _v(z).imag / _COMPLEX_STEP
+            z[i] = x[i]
+        return grad
 
     return BenchFunction(name=name, n=n, value=f, gradient=g)
 

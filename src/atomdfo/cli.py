@@ -269,7 +269,14 @@ def load_run_records(trace_dir) -> List[profiles.RunRecord]:
     if not summary_path.exists():
         raise UsageError(f"no summary.csv in {trace_dir}")
     with open(summary_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    if tuple(reader.fieldnames or ()) != SUMMARY_HEADER:
+        raise UsageError(f"{summary_path}: expected header {SUMMARY_HEADER}")
+    # DictReader fills a short row with None and files a long row's extras under None
+    ragged = [k for k, row in enumerate(rows, 2) if None in row or None in row.values()]
+    if ragged:
+        raise UsageError(f"{summary_path}: row {ragged[0]} does not have {len(SUMMARY_HEADER)} fields")
     # the profiles compare one run of every solver on every problem
     problems = sorted({row["problem"] for row in rows})
     solvers = sorted({row["solver"] for row in rows})
@@ -289,7 +296,7 @@ def load_run_records(trace_dir) -> List[profiles.RunRecord]:
         best = _read_best_f(path)
         try:
             record = profiles.RunRecord(row["problem"], row["solver"], int(row["n"]), best, float(best[0]))
-        except ValueError as exc:  # a best_f column that rises
+        except ValueError as exc:  # a best_f column that rises or is not finite
             raise UsageError(f"{path}: {exc}") from exc
         records.append(record)
     if not records:

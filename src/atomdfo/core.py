@@ -163,6 +163,14 @@ class BudgetedObjective:
         return value
 
 
+def _require_between(config, hi: float, *names: str) -> None:
+    """Each named field lies in the open interval (0, hi); NaN lies in none."""
+    for name in names:
+        value = getattr(config, name)
+        if not 0.0 < value < hi:
+            raise ValueError(f"{name} must be in (0, {hi:g}), got {value}")
+
+
 @dataclass(frozen=True)
 class DfSimplexConfig:
     """Parameters of the direct-search simplex solver.
@@ -178,16 +186,8 @@ class DfSimplexConfig:
     epsilon: float = 1e-4
 
     def __post_init__(self):
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError(f"theta must be in (0, 1), got {self.theta}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.alpha0 <= 0.0:
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _require_between(self, 1.0, "theta", "delta")
+        _require_between(self, math.inf, "gamma", "alpha0", "epsilon")
 
 
 class DropRule(Enum):
@@ -218,20 +218,10 @@ class OrdConfig:
     inner: DfSimplexConfig = field(default_factory=DfSimplexConfig)
 
     def __post_init__(self):
-        if self.eps0 <= 0.0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
-        if not (0.0 < self.eps_decay < 1.0):
-            raise ValueError(f"eps_decay must be in (0, 1), got {self.eps_decay}")
+        _require_between(self, 1.0, "eps_decay", "mu0", "theta")
+        _require_between(self, math.inf, "eps0", "gamma", "stop_factor")
         if self.inner.epsilon > self.eps0:
             raise ValueError("inner.epsilon cannot exceed eps0")
-        if not (0.0 < self.mu0 < 1.0):
-            raise ValueError(f"mu0 must be in (0, 1), got {self.mu0}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError(f"theta must be in (0, 1), got {self.theta}")
-        if self.stop_factor <= 0.0:
-            raise ValueError(f"stop_factor must be positive, got {self.stop_factor}")
 
     def eps_at(self, k: int) -> float:
         return max(self.inner.epsilon, self.eps0 * self.eps_decay**k)

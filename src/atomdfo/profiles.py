@@ -32,6 +32,8 @@ class RunRecord:
         hist = np.asarray(self.history, dtype=float)
         if hist.ndim != 1 or len(hist) == 0:
             raise ValueError("history must be a nonempty 1-d array")
+        if not np.all(np.isfinite(hist)):
+            raise ValueError("best-so-far history must be finite")
         if np.any(np.diff(hist) > 0.0):
             raise ValueError("best-so-far history must be non-increasing")
         object.__setattr__(self, "history", hist)

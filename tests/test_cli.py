@@ -388,6 +388,35 @@ class TestProfile:
         assert cli.main(["profile", "--traces", str(traces), "--out", str(tmp_path / "o")]) == 2
         assert "p1__s1.csv" in capsys.readouterr().err
 
+    def test_non_finite_best_f_names_the_file(self, tmp_path, capsys):
+        # a nan compares false both ways, so it passes the non-increasing
+        # check and would shift every threshold the run takes part in
+        traces = make_trace_dir(tmp_path, {("p1", "s1"): 5, ("p1", "s2"): 6})
+        (traces / "p1__s1.csv").write_text("eval,f,best_f\n1,2,2\n2,nan,nan\n3,1,1\n")
+        assert cli.main(["profile", "--traces", str(traces), "--out", str(tmp_path / "o")]) == 2
+        assert "p1__s1.csv" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header, row: (header[:5] + header[6:], row[:5] + row[6:]),
+            lambda header, row: (header, row[:2]),
+            lambda header, row: (header, row + ["7"]),
+        ],
+        ids=["final_f-column-missing", "short-row", "long-row"],
+    )
+    def test_malformed_summary_names_the_file(self, tmp_path, capsys, edit):
+        traces = make_trace_dir(tmp_path, {("p1", "s1"): 5})
+        with open(traces / "summary.csv", newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header[5] == "final_f"
+        with open(traces / "summary.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(header, row))
+        assert cli.main(["profile", "--traces", str(traces), "--out", str(tmp_path / "o")]) == 2
+        assert "summary.csv" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "edit",
         [lambda rows: rows[1:], lambda rows: rows[:2] + rows[3:], lambda rows: rows + rows[:1]],
@@ -444,6 +473,11 @@ class TestSuiteConfig:
             {"budget_factor": True},
             {"budget_factor": 20.0},
             {"budget_factor": "20"},
+            # json reads the NaN and Infinity tokens as floats
+            {"dfsimplex": {"epsilon": float("nan"), "gamma": float("nan")}},
+            {"ord": {"eps0": float("nan"), "stop_factor": float("nan")}},
+            {"ord": {"inner": {"alpha0": float("inf")}}},
+            {"dfsimplex": {"gamma": float("-inf")}},
         ],
     )
     def test_invalid_manifest_fields(self, tmp_path, overrides):

@@ -276,6 +276,16 @@ class TestConfigs:
             {"delta": 1.0},
             {"alpha0": 0.0},
             {"epsilon": -1.0},
+            # NaN fails every comparison, and no stepsize or tolerance is infinite
+            {"gamma": math.nan},
+            {"alpha0": math.nan},
+            {"epsilon": math.nan},
+            {"theta": math.nan},
+            {"delta": math.nan},
+            {"gamma": math.inf},
+            {"alpha0": math.inf},
+            {"epsilon": math.inf},
+            {"epsilon": -math.inf},
         ],
     )
     def test_dfsimplex_config_ranges(self, kwargs):
@@ -292,6 +302,15 @@ class TestConfigs:
             {"theta": 0.0},
             {"stop_factor": 0.0},
             {"inner": DfSimplexConfig(epsilon=0.3)},
+            {"eps0": math.nan},
+            {"gamma": math.nan},
+            {"stop_factor": math.nan},
+            {"eps_decay": math.nan},
+            {"mu0": math.nan},
+            {"eps0": math.inf},
+            {"gamma": math.inf},
+            {"stop_factor": math.inf},
+            {"stop_factor": -math.inf},
         ],
     )
     def test_ord_config_ranges(self, kwargs):

@@ -65,6 +65,13 @@ class TestRunRecord:
         with pytest.raises(ValueError):
             RunRecord("p", "s", 3, np.array([]), 0.0)
 
+    @pytest.mark.parametrize(
+        "history", [[2.0, np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]], ids=["nan", "inf", "-inf"]
+    )
+    def test_rejects_non_finite_history(self, history):
+        with pytest.raises(ValueError):
+            record("p", "s", 3, history, f0=2.0)
+
 
 class TestDataProfile:
     def test_single_run_boundary(self):

@@ -27,6 +27,7 @@ from .core import (
     DropRule,
     OrdConfig,
     ZERO_TOL,
+    weights_point,
 )
 from .analysis import run_property_suite
 from .dfsimplex import df_simplex_solve
@@ -147,7 +148,7 @@ def run_one(name: str, n: int, m: int, seed: int, solver: str, suite: SuiteConfi
     elif solver == "dfsimplex":
         y0 = np.zeros(m)
         y0[problem.start_id] = 1.0
-        phi = lambda yv: objective(yv @ problem.atoms.atoms)  # noqa: E731
+        phi = lambda yv: objective(weights_point(yv, problem.atoms.atoms))  # noqa: E731
         result = df_simplex_solve(phi, y0, suite.dfsimplex)
         weights = result.y
     else:

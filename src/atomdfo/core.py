@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -91,19 +93,30 @@ class SimplexWeights:
         object.__setattr__(self, "ids", ids)
 
     def point(self, atoms: AtomSet) -> np.ndarray:
-        return self.w @ atoms.subset(self.ids)
+        return weights_point(self.w, atoms.subset(self.ids))
 
     def __len__(self) -> int:
         return len(self.w)
 
 
+def weights_point(w: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The point w.A that weights w over the rows of the atom matrix A stand for.
+
+    The library's one map from weights to points: ORD evaluates phi at this
+    point and returns it as x, so both must come from the same product.
+    ``w.dot(A)`` is bitwise ``w @ A`` without the matmul dispatch.
+    """
+    return w.dot(A)
+
+
 def exchange_point(z: np.ndarray, sign: int, i: int, j: int, step: float) -> np.ndarray:
     """The point z + step*sign*(e_i - e_j), i != j, with rounding noise clamped to 0.
 
-    The two changed coordinates are computed on Python floats, the same IEEE
+    ``z`` is an ndarray; the result is a fresh float64 copy of it. The two
+    changed coordinates are computed on Python floats, the same IEEE
     operations as on float64 array entries, and stored once.
     """
-    out = np.array(z, dtype=float)
+    out = z.astype(float)
     d = sign * step
     zi = out.item(i) + d
     zj = out.item(j) - d
@@ -128,20 +141,26 @@ def is_simplex_point(w: np.ndarray, sum_tol: float = SUM_TOL) -> bool:
 class BudgetedObjective:
     """A black-box objective with evaluation counting and budget enforcement.
 
-    Every call appends its value to ``values``, so ``eval_count`` grows by
-    exactly one; ``trace`` derives the ``(eval_index, f_value, best_so_far)``
-    rows from ``values`` when it is read. A call beyond the budget raises
+    Every call appends its value to ``values``, a float64 ``array('d')`` at
+    8 bytes per evaluation, so ``eval_count`` grows by exactly one; ``trace``
+    derives the ``(eval_index, f_value, best_so_far)`` rows from ``values``
+    when it is read. A call beyond the budget raises
     :class:`BudgetExhausted` without consulting the black box and leaves
     ``values`` unchanged; a NaN/inf value raises :class:`NonFiniteValue`. One
     instance belongs to one solver run at a time.
     """
 
     def __init__(self, func: Callable[[np.ndarray], float], budget: Optional[int] = None):
-        if budget is not None and budget < 1:
-            raise ValueError(f"budget must be positive, got {budget}")
+        if budget is not None:
+            # a float budget (NaN, 2.5) would never or wrongly stop; bool is Integral
+            if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+                raise ValueError(f"budget must be an integer, got {budget!r}")
+            if budget < 1:
+                raise ValueError(f"budget must be positive, got {budget}")
+            budget = int(budget)
         self.func = func
         self.budget = budget
-        self.values: List[float] = []
+        self.values = array("d")
 
     @property
     def eval_count(self) -> int:

@@ -26,7 +26,7 @@ class StopReason(Enum):
 
 def choose_pivot(y: np.ndarray) -> int:
     """The max-weight coordinate, lowest index on ties."""
-    return int(np.argmax(y))
+    return int(y.argmax())
 
 
 @dataclass

@@ -44,15 +44,17 @@ def line_search(
 ) -> LineSearchOutcome:
     """Search along d = e_i - e_j and its reverse from z, where phi(z) = f_z.
 
+    ``z`` is an ndarray (the solvers pass float64 simplex points).
     The reverse is probed only when the forward step is zero or fails.
     phi(z) is never re-evaluated here: each probe costs exactly one
     evaluation, and a :class:`~atomdfo.core.BudgetExhausted` raised by ``phi``
     propagates to the caller.
     """
-    if alpha_hat <= 0.0:
+    # written as `not >` so that a NaN alpha_hat fails the guard
+    if not alpha_hat > 0.0:
         raise ValueError(f"alpha_hat must be positive, got {alpha_hat}")
     # The feasibility bound is z_j along +(e_i - e_j) and z_i along its reverse.
-    for sign, bound in ((+1, float(z[j])), (-1, float(z[i]))):
+    for sign, bound in ((+1, z.item(j)), (-1, z.item(i))):
         alpha = min(bound, alpha_hat)
         if alpha <= 0.0:
             continue

@@ -21,6 +21,7 @@ from .core import (
     OrdConfig,
     SimplexWeights,
     ZERO_TOL,
+    weights_point,
 )
 from .dfsimplex import StopReason as InnerStop
 from .dfsimplex import df_simplex_solve, final_poll
@@ -294,11 +295,11 @@ def ord_solve(
     while True:
         eps_k = cfg.eps_at(k)
         A_k = atoms.subset(active)
-        phi = lambda yv: objective(yv @ A_k)  # noqa: E731 - rebound every iteration
+        phi = lambda yv: objective(weights_point(yv, A_k))  # noqa: E731 - rebound every iteration
         inner_cfg = replace(cfg.inner, epsilon=eps_k)
         inner = df_simplex_solve(phi, y, inner_cfg, f0=f_x)
         y_bar, f_bar = inner.y, inner.f
-        x_bar = y_bar @ A_k
+        x_bar = weights_point(y_bar, A_k)
         if f_bar != f_x:
             x_f = x_bar
         if inner.stop is InnerStop.BUDGET:

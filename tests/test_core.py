@@ -103,6 +103,38 @@ class TestFeasibleStepBound:
         expected = z + sign * step * d
         assert exchange_point(z, sign, i, j, step).tobytes() == expected.tobytes()
 
+    @staticmethod
+    def _reference_exchange(z, sign, i, j, step):
+        # every input converted to a fresh float64 array, then the two-entry update
+        out = np.array(z, dtype=float)
+        out[i] = out.item(i) + sign * step
+        out[j] = out.item(j) - sign * step
+        return out
+
+    @pytest.mark.parametrize("kind", ["float64", "float32", "strided", "read-only"])
+    def test_equal_to_the_converted_reference(self, kind):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            m = int(rng.integers(2, 12))
+            y = rng.dirichlet(np.ones(m))
+            z = {
+                "float64": lambda: y,
+                "float32": lambda: y.astype(np.float32),
+                "strided": lambda: np.repeat(y, 2)[::2],
+                "read-only": lambda: np.frombuffer(y.tobytes()),
+            }[kind]()
+            before = z.tobytes()
+            i, j = (int(h) for h in rng.permutation(m)[:2])
+            sign = int(rng.choice([-1, 1]))
+            # a step strictly inside the bound, so no coordinate reaches the clamp
+            step = float(rng.uniform(0.0, 0.5) * z.item(j if sign > 0 else i))
+            out = exchange_point(z, sign, i, j, step)
+            expected = self._reference_exchange(z, sign, i, j, step)
+            assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+            assert not np.shares_memory(out, z)
+            assert z.tobytes() == before
+
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_rounding_noise_clamped_to_zero(self, sign):
         z = np.array([0.2, 0.1, 0.7])
@@ -159,6 +191,21 @@ class TestBudgetedObjective:
         with pytest.raises(ValueError):
             BudgetedObjective(lambda x: 0.0, budget=0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, 3.0, True, False])
+    def test_budget_must_be_an_integer(self, budget):
+        # a NaN budget never compared as reached, and 2.5 allowed 3 evaluations
+        with pytest.raises(ValueError, match="integer"):
+            BudgetedObjective(lambda x: 0.0, budget=budget)
+
+    @pytest.mark.parametrize("budget", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_integer_budget(self, budget):
+        obj = BudgetedObjective(lambda x: 0.0, budget=budget)
+        obj(np.zeros(1))
+        obj(np.zeros(1))
+        with pytest.raises(BudgetExhausted):
+            obj(np.zeros(1))
+        assert obj.eval_count == 2
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
     def test_trace_length_and_monotonicity(self, values):
         it = iter(values)
@@ -195,7 +242,7 @@ class TestBudgetedObjectiveLedger:
     def test_rows_with_ties_and_signed_zeros(self):
         values = [3.0, 0.0, -0.0, 0.0, 2.0, -1.0, -1.0, -0.0]
         obj = self._run(values)
-        assert obj.values == values
+        assert obj.values.tolist() == values
         rows = obj.trace
         assert rows == self._strict_min_rows(values)
         # a tie keeps the earlier value: +0.0 stays the best over the -0.0 after it
@@ -208,7 +255,7 @@ class TestBudgetedObjectiveLedger:
         obj = self._run([2.0, 1.0], budget=2)
         with pytest.raises(BudgetExhausted):
             obj(np.zeros(1))
-        assert obj.values == [2.0, 1.0]
+        assert obj.values.tolist() == [2.0, 1.0]
         assert obj.eval_count == 2
         assert obj.trace == [(1, 2.0, 2.0), (2, 1.0, 1.0)]
 

@@ -318,7 +318,7 @@ class TestSolve:
         res = df_simplex_solve(objective, np.full(3, 1 / 3), cfg)
         points = final_poll(res.y, cfg.epsilon)
         assert len({point.tobytes() for point in points}) >= 2
-        assert objective.values[-len(points):] == [phi(point) for point in points]
+        assert objective.values[-len(points):].tolist() == [phi(point) for point in points]
 
 
 def _run_to_stop(phi, y0, cfg):

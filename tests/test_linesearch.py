@@ -71,6 +71,18 @@ def test_alpha_hat_must_be_positive():
         line_search(lambda y: 0.0, np.array([1.0, 0.0]), 0.0, 0, 1, 0.0, 1e-6, 0.5)
 
 
+def test_nan_alpha_hat_rejected():
+    evals = []
+
+    def phi(y):
+        evals.append(y.copy())
+        return -1.0
+
+    with pytest.raises(ValueError, match="alpha_hat"):
+        line_search(phi, np.array([0.5, 0.5]), 0.0, 0, 1, float("nan"), 1e-6, 0.5)
+    assert evals == []
+
+
 def test_budget_exhaustion_propagates():
     obj = BudgetedObjective(lambda y: float(y[1]), budget=1)
     z = np.array([0.5, 0.5])

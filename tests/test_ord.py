@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import atomdfo.dfsimplex
 import atomdfo.ord
+from atomdfo.bench import FUNCTION_NAMES, make_problem, make_test_function
 from atomdfo.core import (
     AtomSet,
     BudgetExhausted,
@@ -14,6 +15,7 @@ from atomdfo.core import (
     OrdConfig,
     ZERO_TOL,
     is_simplex_point,
+    weights_point,
 )
 from atomdfo.dfsimplex import StopReason, df_simplex_solve
 from atomdfo.ord import (
@@ -338,6 +340,31 @@ def test_farthest_distance_matches_per_atom_norms():
         x = rng.uniform(-10.0, 10.0, n)
         expected = max(float(np.linalg.norm(atoms.atoms[i] - x)) for i in ids)
         assert farthest_distance(atoms, ids, x) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 50, 200])
+def test_weights_point_is_bitwise_the_matmul(m):
+    # ORD and the CLI map weights to points with weights_point; the catalog
+    # values it feeds must not move by an ulp from the y @ A it replaced
+    rng = np.random.default_rng(m)
+    A = rng.uniform(-10.0, 10.0, (m, 10))
+    for _ in range(300):
+        y = rng.dirichlet(np.ones(m))
+        y[rng.random(m) < 0.3] = 0.0  # sparse weights, as inner solves leave them
+        y /= y.sum() or 1.0
+        assert weights_point(y, A).tobytes() == (y @ A).tobytes()
+
+
+@pytest.mark.parametrize("m", [10, 50])
+def test_result_x_reevaluates_to_result_f(m):
+    # x_bar must be the very point phi evaluated at y_bar: a product that only
+    # reorders the sum (einsum, reversed rows) misses on about half these runs
+    for name in FUNCTION_NAMES:
+        problem = make_problem(name, 10, m, seed=0)
+        func = make_test_function(name, 10)
+        objective = BudgetedObjective(func.value, budget=problem.budget)
+        res = ord_solve(objective, problem.atoms, OrdConfig(rng_seed=0), problem.start_id)
+        assert float(func.value(res.x)) == res.f, name
 
 
 class TestOrdSolve:

@@ -10,8 +10,7 @@ from .core import (
     OrdConfig,
     SimplexWeights,
 )
-from .dfsimplex import DfSimplexState, StopReason, df_simplex_solve
-from .linesearch import LineSearchOutcome, line_search
+from .dfsimplex import DfSimplexState, LineSearchOutcome, StopReason, df_simplex_solve, line_search
 from .ord import OrdResult, OrdStop, PoisednessFailure, ord_solve
 
 __all__ = [

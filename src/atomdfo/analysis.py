@@ -13,8 +13,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .core import BudgetedObjective, DfSimplexConfig, ZERO_TOL
-from .dfsimplex import df_simplex_solve
-from .linesearch import line_search
+from .dfsimplex import df_simplex_solve, line_search
 
 CONE_ORACLE_CAP = 12
 
@@ -109,14 +108,17 @@ def reference_line_search(
     """Plain re-execution of the line search acceptance tests, for cross-checks.
 
     Kept deliberately independent of the production implementation: bare
-    vector arithmetic, no sample bookkeeping, no budget awareness.
+    vector arithmetic, no sample bookkeeping, no budget awareness. A probe of
+    value f is accepted on a strict sufficient decrease, f < f_z and
+    f <= f_z - gamma*step**2, as in the production search.
     """
     z = np.asarray(z, dtype=float)
     d = np.zeros(len(z))
     d[i], d[j] = 1.0, -1.0
 
     def accepts(sign, step):
-        return phi(z + (sign * step) * d) <= f_z - gamma * step * step
+        value = phi(z + (sign * step) * d)
+        return value < f_z and value <= f_z - gamma * step * step
 
     for sign, bound in ((+1, float(z[j])), (-1, float(z[i]))):
         step = min(bound, alpha_hat)

@@ -249,37 +249,33 @@ def make_test_function(name: str, n: int) -> BenchFunction:
     if even and n % 2 != 0:
         raise ValueError(f"{name} pairs its variables and needs even n, got {n}")
 
-    def f(x, _v=value, _n=n):
+    def f(x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (_n,):
-            raise ValueError(f"expected point of shape ({_n},), got {x.shape}")
-        return float(_v(x))
+        if x.shape != (n,):
+            raise ValueError(f"expected point of shape ({n},), got {x.shape}")
+        return float(value(x))
 
-    def g(x, _v=value, _n=n):
+    def g(x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (_n,):
-            raise ValueError(f"expected point of shape ({_n},), got {x.shape}")
+        if x.shape != (n,):
+            raise ValueError(f"expected point of shape ({n},), got {x.shape}")
         z = x.astype(complex)
-        grad = np.empty(_n)
-        for i in range(_n):
+        grad = np.empty(n)
+        for i in range(n):
             z[i] += _COMPLEX_STEP * 1j
-            grad[i] = _v(z).imag / _COMPLEX_STEP
+            grad[i] = value(z).imag / _COMPLEX_STEP
             z[i] = x[i]
         return grad
 
     return BenchFunction(name=name, n=n, value=f, gradient=g)
 
 
-def generate_uniform_atoms(
-    n: int, m: int, lo: float = 0.0, hi: float = 10.0, seed=None
-) -> AtomSet:
-    """m i.i.d. uniform atoms in [lo, hi]^n, deterministic under the seed."""
+def generate_uniform_atoms(n: int, m: int, seed=None) -> AtomSet:
+    """m i.i.d. uniform atoms in [0, 10]^n, deterministic under the seed."""
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
-    return AtomSet(rng.uniform(lo, hi, size=(m, n)))
+    return AtomSet(rng.uniform(0.0, 10.0, size=(m, n)))
 
 
 def l1_ball_atoms(n: int, radius: float) -> AtomSet:

@@ -156,22 +156,22 @@ def run_one(name: str, n: int, m: int, seed: int, solver: str, suite: SuiteConfi
     seconds = time.perf_counter() - start
     sparsity = float(np.mean(weights <= ZERO_TOL))
     tail = (f"{result.f:.17g}", objective.eval_count, f"{sparsity:.17g}", f"{seconds:.6f}")
-    return trace_csv(objective.values), tail
+    return trace_csv(objective.trace), tail
 
 
-def trace_csv(values: Sequence[float]) -> str:
-    """The trace CSV of one run's values: header, then one `eval,f,best_f` row each.
+def trace_csv(trace: Sequence[Tuple[int, float, float]]) -> str:
+    """The trace CSV of BudgetedObjective.trace rows: header, then `eval,f,best_f` rows.
 
-    The bytes csv.writer writes for BudgetedObjective.trace, rows ending in
-    CRLF, with each value formatted once: best_f repeats the text of the
-    running minimum, which keeps the earlier value on a tie.
+    The bytes csv.writer writes for those rows, ending in CRLF, with each
+    value formatted once: best_f repeats the text of f on the row where the
+    running minimum last changed.
     """
     lines = [",".join(TRACE_HEADER)]
     best = best_text = None
-    for k, value in enumerate(values, 1):
+    for k, value, best_f in trace:
         text = f"{value:.17g}"
-        if best is None or value < best:
-            best, best_text = value, text
+        if best_f != best:
+            best, best_text = best_f, text
         lines.append(f"{k},{text},{best_text}")
     lines.append("")
     return "\r\n".join(lines)

@@ -92,12 +92,6 @@ class SimplexWeights:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "ids", ids)
 
-    def point(self, atoms: AtomSet) -> np.ndarray:
-        return weights_point(self.w, atoms.subset(self.ids))
-
-    def __len__(self) -> int:
-        return len(self.w)
-
 
 def weights_point(w: np.ndarray, A: np.ndarray) -> np.ndarray:
     """The point w.A that weights w over the rows of the atom matrix A stand for.
@@ -133,9 +127,9 @@ def exchange_point(z: np.ndarray, sign: int, i: int, j: int, step: float) -> np.
     return out
 
 
-def is_simplex_point(w: np.ndarray, sum_tol: float = SUM_TOL) -> bool:
+def is_simplex_point(w: np.ndarray) -> bool:
     w = np.asarray(w, dtype=float)
-    return bool(np.all(w >= 0.0) and abs(w.sum() - 1.0) <= sum_tol)
+    return bool(np.all(w >= 0.0) and abs(w.sum() - 1.0) <= SUM_TOL)
 
 
 class BudgetedObjective:

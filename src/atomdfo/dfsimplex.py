@@ -6,6 +6,13 @@ and maintains per-coordinate starting stepsizes floored at the
 stopping tolerance epsilon. The solver stops at the first iteration that
 starts with every stepsize at the floor and accepts no step, which certifies
 an approximate-stationarity bound for gradient-Lipschitz objectives.
+
+The probe rule lives here whole: ``line_search`` probes +/-(e_i - e_j),
+``df_simplex_iterate`` skips a search with both feasibility bounds zero, and
+``final_poll`` lists a TOLERANCE stop's probes. A probe of value f at step
+alpha is accepted only on a strict sufficient decrease, f < phi(z) and
+f <= phi(z) - gamma*alpha**2: against a large |phi(z)| the margin rounds
+away, and a zero-decrease step could then repeat until the budget.
 """
 from __future__ import annotations
 
@@ -16,7 +23,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import BudgetExhausted, DfSimplexConfig, exchange_point, is_simplex_point
-from .linesearch import line_search
 
 
 class StopReason(Enum):
@@ -39,6 +45,69 @@ class DfSimplexState:
     iterations: int = 0
     # set by the iteration that ends the run, None while it goes on
     stop: Optional[StopReason] = None
+
+
+@dataclass
+class LineSearchOutcome:
+    """Result of one search along +/-(e_i - e_j).
+
+    ``sign`` records whether the direction was kept (+1) or flipped (-1);
+    a failed search returns alpha == 0 with sign == +1 by convention and the
+    caller ignores the direction. ``f_new`` and ``z`` are the objective value
+    and the point the accepted probe evaluated (the caller's cached value and
+    its own z when alpha == 0).
+    """
+
+    alpha: float
+    sign: int
+    f_new: float
+    z: np.ndarray
+
+
+def line_search(
+    phi: Callable[[np.ndarray], float],
+    z: np.ndarray,
+    f_z: float,
+    i: int,
+    j: int,
+    alpha_hat: float,
+    gamma: float,
+    delta: float,
+) -> LineSearchOutcome:
+    """Search along d = e_i - e_j and its reverse from z, where phi(z) = f_z.
+
+    A direction's first probe is at min(bound, alpha_hat), with the
+    feasibility bound z_j forward and z_i in reverse; a zero bound skips it
+    without an evaluation, and the reverse is probed only when the forward
+    step is zero or fails. A probe of value f at step a is accepted when
+    f < f_z and f <= f_z - gamma*a**2, so neither a tie with f_z nor a NaN
+    is, and an accepted step expands by 1/delta until the bound or the first
+    rejected probe. ``z`` is an ndarray (the solvers pass float64 simplex
+    points). phi(z) is never re-evaluated here: each probe costs exactly one
+    evaluation, and a :class:`~atomdfo.core.BudgetExhausted` raised by ``phi``
+    propagates to the caller.
+    """
+    # written as `not >` so that a NaN alpha_hat fails the guard
+    if not alpha_hat > 0.0:
+        raise ValueError(f"alpha_hat must be positive, got {alpha_hat}")
+    for sign, bound in ((+1, z.item(j)), (-1, z.item(i))):
+        alpha = min(bound, alpha_hat)
+        if alpha <= 0.0:
+            continue
+        z_new = exchange_point(z, sign, i, j, alpha)
+        f_new = phi(z_new)
+        # both comparisons are False for a NaN value
+        if not (f_new < f_z and f_new <= f_z - gamma * alpha * alpha):
+            continue
+        while alpha < bound:
+            beta = min(bound, alpha / delta)
+            z_beta = exchange_point(z, sign, i, j, beta)
+            f_beta = phi(z_beta)
+            if not (f_beta < f_z and f_beta <= f_z - gamma * beta * beta):
+                break
+            alpha, z_new, f_new = beta, z_beta, f_beta
+        return LineSearchOutcome(alpha, sign, f_new, z_new)
+    return LineSearchOutcome(0.0, +1, f_z, z)
 
 
 def df_simplex_iterate(

@@ -214,7 +214,7 @@ def reexpress_weights(
         else:
             kept.append(h)
     new_ids = [active_ids[h] for h in kept]
-    w = y_bar[kept].copy()
+    w = y_bar[kept]
     if refine is not None:
         atom_id, mu = refine
         if atom_id in active_ids:

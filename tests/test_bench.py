@@ -171,10 +171,6 @@ class TestUniformAtoms:
         means = atoms.atoms.mean(axis=0)
         assert np.all(means >= 4.5) and np.all(means <= 5.5)
 
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            generate_uniform_atoms(2, 3, lo=1.0, hi=1.0)
-
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             generate_uniform_atoms(0, 3)

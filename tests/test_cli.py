@@ -221,7 +221,7 @@ class TestTraceCsv:
         objective = BudgetedObjective(lambda x: next(values))
         for _ in self.VALUES:
             objective(np.zeros(1))
-        text = cli.trace_csv(objective.values)
+        text = cli.trace_csv(objective.trace)
         assert text == self.csv_writer_reference(objective.trace)
         assert text.startswith("eval,f,best_f\r\n") and text.endswith("\r\n")
         assert "\r\n3,-0,0\r\n" in text

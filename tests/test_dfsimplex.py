@@ -10,9 +10,9 @@ from atomdfo.dfsimplex import (
     df_simplex_iterate,
     df_simplex_solve,
     final_poll,
+    line_search,
 )
 from atomdfo.analysis import kkt_gap
-from atomdfo.linesearch import line_search
 
 
 class TestChoosePivot:
@@ -271,6 +271,16 @@ class TestSolve:
         res = df_simplex_solve(phi, np.full(4, 0.25), DfSimplexConfig())
         assert res.stop is StopReason.BUDGET
         assert obj.eval_count == 7
+
+    @pytest.mark.parametrize("c", [1e6, 1e9, 1e12])
+    def test_large_offset_ends_on_tolerance(self, c):
+        # moving mass between y_0 and y_1 leaves phi unchanged, and against c
+        # the margin gamma*alpha**2 rounds away: only a strict decrease test
+        # keeps the search from taking such steps until the budget
+        obj = BudgetedObjective(lambda y: float((y[0] + y[1] - 1.0) ** 2 + y[2] + c), budget=20000)
+        res = df_simplex_solve(obj, np.array([0.5, 0.5, 0.0]), DfSimplexConfig())
+        assert res.stop is StopReason.TOLERANCE
+        assert obj.eval_count < 100
 
     def test_monotone_and_feasible_all_probes(self):
         rng = np.random.default_rng(3)

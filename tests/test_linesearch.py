@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from atomdfo.core import BudgetedObjective, BudgetExhausted, exchange_point, is_simplex_point
-from atomdfo.linesearch import line_search
+from atomdfo import line_search
 from atomdfo.analysis import reference_line_search
 
 
@@ -50,6 +50,22 @@ def test_ascent_direction_gets_flipped():
     assert out.sign == -1
     assert out.f_new == 0.0
     assert len(calls) == 3  # failed forward, accepted backward, expansion
+
+
+def test_tie_with_f_z_rejected_below_half_an_ulp():
+    # at f_z = 1e12, gamma*alpha**2 is below half an ulp, so f_z - gamma*alpha**2
+    # rounds to f_z and the margin test alone would accept an equal value
+    f_z, gamma = 1e12, 1e-6
+    assert gamma * 0.5**2 < np.spacing(f_z) / 2
+    phi, calls = recording(lambda y: f_z)
+    out = line_search(phi, np.array([0.5, 0.5]), f_z, 0, 1, 0.25, gamma, 0.5)
+    assert (out.alpha, out.f_new) == (0.0, f_z)
+    assert len(calls) == 2  # forward and backward both evaluated and rejected
+    # an expansion probe that ties f_z is rejected too: the step stays at 0.25
+    phi, calls = recording(lambda y: f_z - 1.0 if y[0] < 0.9 else f_z)
+    out = line_search(phi, np.array([0.5, 0.5]), f_z, 0, 1, 0.25, gamma, 0.5)
+    assert (out.alpha, out.sign, out.f_new) == (0.25, +1, f_z - 1.0)
+    assert len(calls) == 2
 
 
 def test_zero_bound_probe_skipped_without_evaluation():
@@ -126,7 +142,7 @@ def test_sufficient_decrease_certificate_and_feasibility():
             accepted_point = z.copy()
             accepted_point[i] += out.sign * out.alpha
             accepted_point[j] -= out.sign * out.alpha
-            assert out.f_new <= f_z - gamma * out.alpha**2
+            assert out.f_new < f_z and out.f_new <= f_z - gamma * out.alpha**2
             assert abs(phi(np.clip(accepted_point, 0, None)) - out.f_new) <= 1e-12
     assert accepted > 20  # the sweep must exercise the accepting branch
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import atomdfo.dfsimplex
 import atomdfo.ord
-from atomdfo.bench import FUNCTION_NAMES, make_problem, make_test_function
+from atomdfo.bench import FUNCTION_NAMES, generate_uniform_atoms, make_problem, make_test_function
 from atomdfo.core import (
     AtomSet,
     BudgetExhausted,
@@ -448,7 +448,7 @@ class TestOrdSolve:
             assert np.all(rec.y_bar >= 0.0)
             recombined = rec.y_bar @ atoms.subset(rec.active_ids)
             assert np.max(np.abs(recombined - rec.x_bar)) <= 1e-10
-        final = res.weights.point(atoms)
+        final = weights_point(res.weights.w, atoms.subset(res.weights.ids))
         assert np.max(np.abs(final - res.x)) <= 1e-10
 
     def test_monotone_objective_and_mu_hat(self):
@@ -559,6 +559,43 @@ class TestOrdSolve:
         ord_solve(objective, atoms, OrdConfig(rng_seed=1), 0)
         assert fits and fits[-1] < objective.eval_count
 
+    def test_poisedness_failure_falls_back_to_the_zero_weight_rule(self, monkeypatch):
+        # the gradient filter keeps atoms on this run, so the plain rule's run
+        # differs from it; a fit that always fails must replay the plain rule's
+        atoms = generate_uniform_atoms(4, 40, seed=1)
+        func = make_test_function("fletchcr", 4)
+
+        def run(rule):
+            obj = BudgetedObjective(func.value, budget=500)
+            res = ord_solve(obj, atoms, OrdConfig(rng_seed=0, drop_rule=rule), 0)
+            return obj.values.tobytes(), res.weights.w.tobytes(), res.weights.ids, res.stop
+
+        filtered = run(DropRule.GRADIENT_FILTERED)
+        zero_weight = run(DropRule.ZERO_WEIGHT)
+        assert filtered != zero_weight
+        fallbacks = []
+
+        def failing(points, values, y_bar, f_bar):
+            fallbacks.append(len(points))
+            raise PoisednessFailure("forced")
+
+        monkeypatch.setattr(atomdfo.ord, "simplex_gradient", failing)
+        assert run(DropRule.GRADIENT_FILTERED) == zero_weight
+        assert fallbacks
+
+    def test_large_offset_runs_end_without_a_budget_stop(self):
+        # against |f| = 1e12 the margins gamma*alpha**2 and gamma*mu_hat**2
+        # round away; only strict decrease tests keep zero-decrease steps
+        # from repeating until the budget
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m, n = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            atoms = AtomSet(rng.uniform(-5, 5, (m, n)))
+            c = rng.uniform(-5, 5, n)
+            obj = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2) + 1e12), budget=20000)
+            res = ord_solve(obj, atoms, OrdConfig(rng_seed=seed), 0)
+            assert res.stop is not OrdStop.BUDGET, f"seed {seed}"
+
     def test_start_id_validated(self):
         atoms = AtomSet(np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError):
@@ -668,17 +705,19 @@ def _ord_problems(draw):
     elif kind == "all_equal":
         atoms = np.repeat(atoms[:1], m, axis=0)
     budget = draw(st.none() | st.integers(1, 60))
-    return AtomSet(atoms), rng.uniform(-5, 5, n), budget, draw(st.integers(0, m - 1))
+    # a large |f| rounds the sufficient-decrease margins away
+    offset = draw(st.sampled_from([0.0, 1e6, 1e12]))
+    return AtomSet(atoms), rng.uniform(-5, 5, n), offset, budget, draw(st.integers(0, m - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_ord_problems(), st.integers(0, 2**16))
 def test_ord_solve_invariants(problem, seed):
     # the stop reason is left unchecked: equal atoms can end STALLED
-    atoms, c, budget, start = problem
+    atoms, c, offset, budget, start = problem
 
     def run():
-        obj = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2)), budget=budget)
+        obj = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2) + offset), budget=budget)
         records = []
         res = ord_solve(obj, atoms, OrdConfig(rng_seed=seed), start, sink=records.append)
         assert res.evals == obj.eval_count <= (budget or res.evals)

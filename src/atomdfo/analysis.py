@@ -291,18 +291,22 @@ def check_linesearch_oracle(trials: int, rng: np.random.Generator) -> PropertyRe
     mismatches = 0
     for _ in range(trials):
         m = int(rng.integers(2, 7))
-        phi, _, _ = _random_quadratic(rng, m, scale=float(rng.uniform(0.5, 20.0)))
-        n_zeros = int(rng.integers(0, m))
-        z = random_simplex_point(rng, m, n_zeros)
-        i, j = rng.permutation(m)[:2]
+        i, j = (int(v) for v in rng.permutation(m)[:2])
+        B, c = rng.normal(size=(m, m)), rng.normal(size=m)
+        # ties with f_z test strictness: phi linear (half the time flat) along e_i - e_j,
+        # plus an offset that rounds gamma*alpha**2 away
+        if rng.random() < 0.5:
+            B[:, j], c[j] = B[:, i], (c[i] if rng.random() < 0.5 else c[j])
+        Q = float(rng.uniform(0.5, 20.0)) * (B.T @ B) / m
+        offset = float(rng.choice([0.0, 1e6, 1e12]))
+        phi = lambda y: float(0.5 * y @ Q @ y + c @ y) + offset  # noqa: E731
+        z = random_simplex_point(rng, m, int(rng.integers(0, m)))
         alpha_hat = float(10.0 ** rng.uniform(-3, 0))
         gamma = float(10.0 ** rng.uniform(-8, -2))
         delta = float(rng.choice([0.3, 0.5, 0.7]))
         f_z = phi(z)
-        out = line_search(phi, z, f_z, int(i), int(j), alpha_hat, gamma, delta)
-        ref_alpha, ref_sign = reference_line_search(
-            phi, z, f_z, int(i), int(j), alpha_hat, gamma, delta
-        )
+        out = line_search(phi, z, f_z, i, j, alpha_hat, gamma, delta)
+        ref_alpha, ref_sign = reference_line_search(phi, z, f_z, i, j, alpha_hat, gamma, delta)
         if out.alpha != ref_alpha or out.sign != ref_sign:
             mismatches += 1
     return PropertyReport(

@@ -83,6 +83,18 @@ class OrdResult:
     stop: OrdStop
 
 
+def partial_shuffle(rng: np.random.Generator, moved: dict, n: int, start: int, size: int) -> list:
+    """Entries at positions start.. (size of them) of a Durstenfeld shuffle of range(n), lazily.
+
+    One rng.random call: position k swaps with j = k + int(r*(n - k)) < n. ``moved`` holds the
+    entry at each later position swapped so far, across one shuffle's calls: nothing is O(n).
+    """
+    for k, r in zip(range(start, n), rng.random(min(size, n - start)).tolist()):
+        j = k + int(r * (n - k))
+        moved[k], moved[j] = moved.get(j, j), moved.get(k, k)
+    return [moved.pop(k) for k in range(start, min(start + size, n))]
+
+
 def refine_phase(
     f: Callable[[np.ndarray], float],
     x_bar: np.ndarray,
@@ -92,25 +104,33 @@ def refine_phase(
     mu_hat: float,
     gamma: float,
     rng: np.random.Generator,
+    budget: Optional[int] = None,
 ) -> RefineOutcome:
     """Try the candidate atom ids in seeded random order, one evaluation each.
 
     A candidate a is accepted when f(x_bar + mu_hat*(a - x_bar)) improves on
     f_bar by at least gamma*mu_hat**2, and strictly: that margin rounds away
     against a large f_bar, and a zero-decrease step could cycle with the drop
-    rule. The first success wins. The seeded permutation is over positions in
-    ``candidates``, so their order matters.
+    rule. The first success wins. The seeded order, over positions in ``candidates``, is
+    ``rng.permutation``, or, when more candidates than ``budget`` (the objective's whole
+    budget) make the sweep unfinishable, partial_shuffle's, at O(candidates tried) cost.
 
     Trial points are built a block of rows at a time, with the same
     elementwise operations as one row at a time, and still evaluated one by
     one; the accepted point is copied out of its block.
     """
-    ids = np.asarray(candidates, dtype=np.intp)[rng.permutation(len(candidates))]
+    ids = np.asarray(candidates, dtype=np.intp)
+    moved = {} if budget is not None and len(ids) > budget else None
+    if moved is None:
+        ids = ids[rng.permutation(len(ids))]
     threshold = f_bar - gamma * mu_hat * mu_hat
     tried = 0
     size = REFINE_BLOCK_MIN
     while tried < len(ids):
-        block = ids[tried:tried + size]
+        if moved is None:
+            block = ids[tried:tried + size]
+        else:
+            block = ids[partial_shuffle(rng, moved, len(ids), tried, size)]
         trials = x_bar + mu_hat * (atoms.atoms[block] - x_bar)
         for row, trial in enumerate(trials):
             try:
@@ -253,6 +273,7 @@ def ord_solve(
     to an inactive atom; with every atom active the run instead ends at the
     first floor-tolerance iteration that changes nothing. ``sink``, when given,
     receives one OrdTraceRecord per outer iteration; without it none is built.
+    Refine is passed the objective's budget, which fixes how it draws its order.
 
     Every evaluated point lies in conv(atoms), up to rounding: the inner
     solves probe the active subset's hull, refine probes a segment toward an
@@ -319,7 +340,7 @@ def ord_solve(
         inactive_mask[active] = False
         inactive = np.flatnonzero(inactive_mask)
         refine = refine_phase(
-            objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
+            objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng, objective.budget
         )
 
         refine_pair = (refine.atom_id, mu_hat) if refine.found else None

@@ -19,12 +19,15 @@ from atomdfo.core import (
 )
 from atomdfo.dfsimplex import StopReason, df_simplex_solve
 from atomdfo.ord import (
+    REFINE_BLOCK_MAX,
+    REFINE_BLOCK_MIN,
     OrdStop,
     PoisednessFailure,
     RefineOutcome,
     drop_phase,
     farthest_distance,
     ord_solve,
+    partial_shuffle,
     poll_gradient,
     reexpress_weights,
     refine_phase,
@@ -157,6 +160,150 @@ def test_refine_matches_per_candidate_reference(count, success_at, budget):
         assert out.x_next.base is None and out.x_next.flags.owndata
     else:
         assert out.x_next is None
+
+
+def _refine_lazy_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng):
+    """refine_phase's lazy order one candidate at a time, swapping in a copied array."""
+    order = np.arange(len(candidates))
+    tried, size = 0, REFINE_BLOCK_MIN
+    while tried < len(order):
+        stop = min(tried + size, len(order))
+        for k, r in zip(range(tried, stop), rng.random(stop - tried)):
+            j = k + int(r * (len(order) - k))
+            order[k], order[j] = order[j], order[k]
+            atom_id = int(candidates[order[k]])
+            trial = x_bar + mu_hat * (atoms.atoms[atom_id] - x_bar)
+            try:
+                f_trial = f(trial)
+            except BudgetExhausted:
+                return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
+            tried += 1
+            if f_trial < f_bar and f_trial <= f_bar - gamma * mu_hat * mu_hat:
+                return RefineOutcome(atom_id, trial, f_trial, tried)
+        size = min(2 * size, REFINE_BLOCK_MAX)
+    return RefineOutcome(None, None, f_bar, tried)
+
+
+# (candidates, evaluation that succeeds or None, budget): more candidates
+# than the budget, so the order is drawn a block at a time; success at the
+# first and last row of each block the budget reaches, and budget stops, one
+# of them with the success one evaluation past the budget
+LAZY_REFINE_CASES = [
+    (9, 0, 8), (9, 7, 8), (9, 8, 8), (9, None, 8),
+    (100, 0, 12), (100, 7, 12), (100, 8, 12), (100, 11, 12), (100, None, 12),
+    (3000, 0, 600), (3000, 7, 600), (3000, 8, 600), (3000, 23, 600), (3000, 24, 600),
+    (3000, 55, 600), (3000, 56, 600), (3000, 119, 600), (3000, 120, 600),
+    (3000, 247, 600), (3000, 248, 600), (3000, 503, 600), (3000, 504, 600),
+    (3000, 599, 600), (3000, None, 600),
+    (20000, 759, 1100), (20000, 760, 1100), (20000, 1015, 1100), (20000, 1016, 1100),
+    (20000, 1099, 1100), (20000, None, 1100),
+]
+
+
+@pytest.mark.parametrize("count, success_at, budget", LAZY_REFINE_CASES)
+def test_lazy_refine_matches_per_candidate_reference(count, success_at, budget):
+    data = np.random.default_rng(count)
+    n = 5
+    atoms = AtomSet(data.normal(size=(count + 40, n)))
+    candidates = np.sort(data.choice(count + 40, size=count, replace=False))
+    x_bar = data.normal(size=n)
+    f_bar, mu_hat, gamma = 1.0, 0.3, 1e-6
+
+    def run(refine, *budget_arg):
+        points = []
+
+        def f(x):
+            points.append(x.tobytes())
+            return 0.5 - 1e-3 * float(x @ x) if len(points) - 1 == success_at else 2.0
+
+        objective = BudgetedObjective(f, budget=budget)
+        rng = np.random.default_rng(7)
+        out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng, *budget_arg)
+        return out, points, rng.bit_generator.state
+
+    out, points, state = run(refine_phase, budget)
+    ref, ref_points, ref_state = run(_refine_lazy_reference)
+    assert points == ref_points
+    assert state == ref_state
+    assert out.atom_id == ref.atom_id
+    assert out.candidates_tried == ref.candidates_tried == len(points)
+    assert out.f_next == ref.f_next
+    assert out.budget_exhausted == ref.budget_exhausted == (success_at in (None, budget))
+    assert out.found == (success_at is not None and success_at < budget)
+    if out.found:
+        assert out.x_next.tobytes() == ref.x_next.tobytes()
+
+
+def _id_atoms(m):
+    """Atoms at x = (i,), so a trial point at mu_hat = 1 from x_bar = 0 is its id."""
+    return AtomSet(np.arange(float(m)).reshape(m, 1))
+
+
+def test_lazy_sweep_without_a_budget_tries_every_candidate_once():
+    # the budget argument makes the sweep lazy while the objective has no
+    # budget, so a sweep that never succeeds runs to the end: a failed sweep
+    # certifies that no candidate gives sufficient decrease
+    candidates = np.sort(np.random.default_rng(3).choice(5000, size=3000, replace=False))
+    tried = []
+
+    def f(x):
+        tried.append(int(x[0]))
+        return 1.0
+
+    rng = np.random.default_rng(0)
+    out = refine_phase(f, np.zeros(1), 1.0, _id_atoms(5000), candidates, 1.0, 1e-6, rng, 600)
+    assert not out.found and not out.budget_exhausted
+    assert out.candidates_tried == len(tried) == 3000
+    assert sorted(tried) == candidates.tolist()
+    assert tried != candidates.tolist()
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_lazy_order_positions_are_uniform(position):
+    from scipy.stats import chisquare
+
+    m, reps = 20, 4000
+    atoms = _id_atoms(m)
+    rng = np.random.default_rng(11)
+    counts = np.zeros(m)
+    for _ in range(reps):
+        tried = []
+
+        def f(x):
+            tried.append(int(x[0]))
+            return 1.0
+
+        objective = BudgetedObjective(f, budget=2)
+        out = refine_phase(objective, np.zeros(1), 1.0, atoms, range(m), 1.0, 1e-6, rng, 2)
+        assert out.budget_exhausted and len(set(tried)) == 2
+        counts[tried[position]] += 1
+    assert chisquare(counts).pvalue > 1e-3
+
+
+class _TopRng:
+    """Draws the largest double below 1 every time."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("span", [1, 3, 2**31 - 1])
+def test_lazy_order_index_stays_below_n(span):
+    start = 5
+    n = start + span
+    moved = {}
+    assert partial_shuffle(_TopRng(), moved, n, start, 1) == [n - 1]
+    assert max(moved, default=start) < n
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 300])
+def test_partial_shuffle_blocks_form_a_permutation(n):
+    rng, moved, order, start, size = np.random.default_rng(n), {}, [], 0, 1
+    while start < n:
+        order += partial_shuffle(rng, moved, n, start, size)
+        start, size = start + size, 2 * size
+    assert sorted(order) == list(range(n))
+    assert not moved  # each position is popped once its entry is returned
 
 
 def test_refine_called_through_the_module_global(monkeypatch):
@@ -595,6 +742,21 @@ class TestOrdSolve:
             obj = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2) + 1e12), budget=20000)
             res = ord_solve(obj, atoms, OrdConfig(rng_seed=seed), 0)
             assert res.stop is not OrdStop.BUDGET, f"seed {seed}"
+
+    def test_lazy_refine_run_is_seeded_and_within_budget(self):
+        # m = 3000 atoms against a budget of 300: every refine sweep is longer
+        # than the budget, so each one draws its order as it goes
+        problem = make_problem("ext_rosenbrock", 2, 3000, seed=1, budget_factor=100)
+        func = make_test_function("ext_rosenbrock", 2)
+        runs = []
+        for seed in (4, 4, 5):
+            objective = BudgetedObjective(func.value, budget=problem.budget)
+            res = ord_solve(objective, problem.atoms, OrdConfig(rng_seed=seed), problem.start_id)
+            assert res.evals == objective.eval_count <= problem.budget == 300
+            assert float(func.value(res.x)) == res.f
+            runs.append(objective.values.tolist())
+        assert runs[0] == runs[1]
+        assert runs[0] != runs[2]
 
     def test_start_id_validated(self):
         atoms = AtomSet(np.array([[0.0], [1.0]]))

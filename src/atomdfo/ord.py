@@ -104,7 +104,6 @@ def refine_phase(
     mu_hat: float,
     gamma: float,
     rng: np.random.Generator,
-    budget: Optional[int] = None,
 ) -> RefineOutcome:
     """Try the candidate atom ids in seeded random order, one evaluation each.
 
@@ -112,14 +111,15 @@ def refine_phase(
     f_bar by at least gamma*mu_hat**2, and strictly: that margin rounds away
     against a large f_bar, and a zero-decrease step could cycle with the drop
     rule. The first success wins. The seeded order, over positions in ``candidates``, is
-    ``rng.permutation``, or, when more candidates than ``budget`` (the objective's whole
-    budget) make the sweep unfinishable, partial_shuffle's, at O(candidates tried) cost.
+    ``rng.permutation``, or, when more candidates than f's whole ``budget`` (if it has one)
+    make the sweep unfinishable, partial_shuffle's, at O(candidates tried) cost.
 
     Trial points are built a block of rows at a time, with the same
     elementwise operations as one row at a time, and still evaluated one by
     one; the accepted point is copied out of its block.
     """
     ids = np.asarray(candidates, dtype=np.intp)
+    budget = getattr(f, "budget", None)
     moved = {} if budget is not None and len(ids) > budget else None
     if moved is None:
         ids = ids[rng.permutation(len(ids))]
@@ -273,7 +273,7 @@ def ord_solve(
     to an inactive atom; with every atom active the run instead ends at the
     first floor-tolerance iteration that changes nothing. ``sink``, when given,
     receives one OrdTraceRecord per outer iteration; without it none is built.
-    Refine is passed the objective's budget, which fixes how it draws its order.
+    Refine reads the objective's budget, which fixes how it draws its order.
 
     Every evaluated point lies in conv(atoms), up to rounding: the inner
     solves probe the active subset's hull, refine probes a segment toward an
@@ -340,7 +340,7 @@ def ord_solve(
         inactive_mask[active] = False
         inactive = np.flatnonzero(inactive_mask)
         refine = refine_phase(
-            objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng, objective.budget
+            objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
         )
 
         refine_pair = (refine.atom_id, mu_hat) if refine.found else None

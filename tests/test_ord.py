@@ -109,8 +109,11 @@ def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng):
     return RefineOutcome(None, None, f_bar, tried)
 
 
-# (candidates, evaluation that succeeds or None, budget or None); blocks
-# cover rows 0-7, 8-23, 24-55, 56-119, 120-247, 248-503, then 256 rows each
+# (candidates, evaluation that succeeds or None, evaluations left or None);
+# blocks cover rows 0-7, 8-23, 24-55, 56-119, 120-247, 248-503, then 256 rows
+# each. An objective with evaluations left has a budget of the candidate count
+# and has spent the rest, so the sweep fits the whole budget (a full
+# permutation) and still stops on it
 REFINE_CASES = [
     (1, 0, None), (1, None, None),
     (7, 3, None), (7, 6, None), (7, None, None),
@@ -123,8 +126,8 @@ REFINE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("count, success_at, budget", REFINE_CASES)
-def test_refine_matches_per_candidate_reference(count, success_at, budget):
+@pytest.mark.parametrize("count, success_at, left", REFINE_CASES)
+def test_refine_matches_per_candidate_reference(count, success_at, left):
     data = np.random.default_rng(count)
     n = 5
     atoms = AtomSet(data.normal(size=(count + 40, n)))
@@ -140,7 +143,10 @@ def test_refine_matches_per_candidate_reference(count, success_at, budget):
             # only the chosen evaluation decreases, by a value that depends on x
             return 0.5 - 1e-3 * float(x @ x) if len(points) - 1 == success_at else 2.0
 
-        objective = BudgetedObjective(f, budget=budget)
+        objective = BudgetedObjective(f, budget=None if left is None else max(count, left))
+        for _ in range(0 if left is None else objective.budget - left):
+            objective(x_bar)
+        points.clear()
         rng = np.random.default_rng(7)
         out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng)
         return out, points, rng.bit_generator.state
@@ -185,9 +191,9 @@ def _refine_lazy_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rn
 
 
 # (candidates, evaluation that succeeds or None, budget): more candidates
-# than the budget, so the order is drawn a block at a time; success at the
-# first and last row of each block the budget reaches, and budget stops, one
-# of them with the success one evaluation past the budget
+# than the objective's budget, so the order is drawn a block at a time;
+# success at the first and last row of each block the budget reaches, and
+# budget stops, one of them with the success one evaluation past the budget
 LAZY_REFINE_CASES = [
     (9, 0, 8), (9, 7, 8), (9, 8, 8), (9, None, 8),
     (100, 0, 12), (100, 7, 12), (100, 8, 12), (100, 11, 12), (100, None, 12),
@@ -209,7 +215,7 @@ def test_lazy_refine_matches_per_candidate_reference(count, success_at, budget):
     x_bar = data.normal(size=n)
     f_bar, mu_hat, gamma = 1.0, 0.3, 1e-6
 
-    def run(refine, *budget_arg):
+    def run(refine):
         points = []
 
         def f(x):
@@ -218,10 +224,10 @@ def test_lazy_refine_matches_per_candidate_reference(count, success_at, budget):
 
         objective = BudgetedObjective(f, budget=budget)
         rng = np.random.default_rng(7)
-        out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng, *budget_arg)
+        out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng)
         return out, points, rng.bit_generator.state
 
-    out, points, state = run(refine_phase, budget)
+    out, points, state = run(refine_phase)
     ref, ref_points, ref_state = run(_refine_lazy_reference)
     assert points == ref_points
     assert state == ref_state
@@ -239,23 +245,18 @@ def _id_atoms(m):
     return AtomSet(np.arange(float(m)).reshape(m, 1))
 
 
-def test_lazy_sweep_without_a_budget_tries_every_candidate_once():
-    # the budget argument makes the sweep lazy while the objective has no
-    # budget, so a sweep that never succeeds runs to the end: a failed sweep
-    # certifies that no candidate gives sufficient decrease
-    candidates = np.sort(np.random.default_rng(3).choice(5000, size=3000, replace=False))
-    tried = []
-
-    def f(x):
-        tried.append(int(x[0]))
-        return 1.0
-
-    rng = np.random.default_rng(0)
-    out = refine_phase(f, np.zeros(1), 1.0, _id_atoms(5000), candidates, 1.0, 1e-6, rng, 600)
-    assert not out.found and not out.budget_exhausted
-    assert out.candidates_tried == len(tried) == 3000
-    assert sorted(tried) == candidates.tolist()
-    assert tried != candidates.tolist()
+@pytest.mark.parametrize("n", [1, 2, 9, 300, 3000])
+def test_lazy_sweep_without_a_budget_tries_every_candidate_once(n):
+    # refine's blocks of 8 doubling to 256, run to the end as a sweep that
+    # never succeeds would be without a budget: every position is drawn once,
+    # so a failed sweep certifies that no candidate gives sufficient decrease
+    rng, moved, order, start, size = np.random.default_rng(n), {}, [], 0, REFINE_BLOCK_MIN
+    while start < n:
+        order += partial_shuffle(rng, moved, n, start, size)
+        start, size = start + size, min(2 * size, REFINE_BLOCK_MAX)
+    assert sorted(order) == list(range(n))
+    assert not moved  # each position is popped once its entry is returned
+    assert n < 9 or order != list(range(n))
 
 
 @pytest.mark.parametrize("position", [0, 1])
@@ -274,7 +275,7 @@ def test_lazy_order_positions_are_uniform(position):
             return 1.0
 
         objective = BudgetedObjective(f, budget=2)
-        out = refine_phase(objective, np.zeros(1), 1.0, atoms, range(m), 1.0, 1e-6, rng, 2)
+        out = refine_phase(objective, np.zeros(1), 1.0, atoms, range(m), 1.0, 1e-6, rng)
         assert out.budget_exhausted and len(set(tried)) == 2
         counts[tried[position]] += 1
     assert chisquare(counts).pvalue > 1e-3
@@ -294,16 +295,6 @@ def test_lazy_order_index_stays_below_n(span):
     moved = {}
     assert partial_shuffle(_TopRng(), moved, n, start, 1) == [n - 1]
     assert max(moved, default=start) < n
-
-
-@pytest.mark.parametrize("n", [1, 2, 9, 300])
-def test_partial_shuffle_blocks_form_a_permutation(n):
-    rng, moved, order, start, size = np.random.default_rng(n), {}, [], 0, 1
-    while start < n:
-        order += partial_shuffle(rng, moved, n, start, size)
-        start, size = start + size, 2 * size
-    assert sorted(order) == list(range(n))
-    assert not moved  # each position is popped once its entry is returned
 
 
 def test_refine_called_through_the_module_global(monkeypatch):

@@ -27,11 +27,9 @@ from .dfsimplex import StopReason as InnerStop
 from .dfsimplex import df_simplex_solve, final_poll
 
 
-# Refine builds trial points in blocks that double from the first size to the
-# cap: a sweep that succeeds early builds few unused rows, a long one makes few
-# numpy calls, and a block holds at most REFINE_BLOCK_MAX rows.
-REFINE_BLOCK_MIN = 8
-REFINE_BLOCK_MAX = 256
+# Refine builds trial points REFINE_BLOCK rows at a time: a sweep that succeeds
+# early builds few unused rows, and a long one makes few numpy calls.
+REFINE_BLOCK = 64
 
 
 class PoisednessFailure(Exception):
@@ -83,18 +81,6 @@ class OrdResult:
     stop: OrdStop
 
 
-def partial_shuffle(rng: np.random.Generator, moved: dict, n: int, start: int, size: int) -> list:
-    """Entries at positions start.. (size of them) of a Durstenfeld shuffle of range(n), lazily.
-
-    One rng.random call: position k swaps with j = k + int(r*(n - k)) < n. ``moved`` holds the
-    entry at each later position swapped so far, across one shuffle's calls: nothing is O(n).
-    """
-    for k, r in zip(range(start, n), rng.random(min(size, n - start)).tolist()):
-        j = k + int(r * (n - k))
-        moved[k], moved[j] = moved.get(j, j), moved.get(k, k)
-    return [moved.pop(k) for k in range(start, min(start + size, n))]
-
-
 def refine_phase(
     f: Callable[[np.ndarray], float],
     x_bar: np.ndarray,
@@ -112,25 +98,24 @@ def refine_phase(
     against a large f_bar, and a zero-decrease step could cycle with the drop
     rule. The first success wins. The seeded order, over positions in ``candidates``, is
     ``rng.permutation``, or, when more candidates than f's whole ``budget`` (if it has one)
-    make the sweep unfinishable, partial_shuffle's, at O(candidates tried) cost.
+    make the sweep unfinishable, ``rng.choice(len(candidates), budget + 1, replace=False)``:
+    the candidates the budget can pay for and one more, whose refused call reports the
+    exhausted budget.
 
-    Trial points are built a block of rows at a time, with the same
+    Trial points are built REFINE_BLOCK rows at a time, with the same
     elementwise operations as one row at a time, and still evaluated one by
     one; the accepted point is copied out of its block.
     """
     ids = np.asarray(candidates, dtype=np.intp)
     budget = getattr(f, "budget", None)
-    moved = {} if budget is not None and len(ids) > budget else None
-    if moved is None:
+    if budget is not None and len(ids) > budget:
+        ids = ids[rng.choice(len(ids), budget + 1, replace=False)]
+    else:
         ids = ids[rng.permutation(len(ids))]
     threshold = f_bar - gamma * mu_hat * mu_hat
     tried = 0
-    size = REFINE_BLOCK_MIN
-    while tried < len(ids):
-        if moved is None:
-            block = ids[tried:tried + size]
-        else:
-            block = ids[partial_shuffle(rng, moved, len(ids), tried, size)]
+    for start in range(0, len(ids), REFINE_BLOCK):
+        block = ids[start:start + REFINE_BLOCK]
         trials = x_bar + mu_hat * (atoms.atoms[block] - x_bar)
         for row, trial in enumerate(trials):
             try:
@@ -140,7 +125,6 @@ def refine_phase(
             tried += 1
             if f_trial < f_bar and f_trial <= threshold:
                 return RefineOutcome(int(block[row]), trial.copy(), f_trial, tried)
-        size = min(2 * size, REFINE_BLOCK_MAX)
     return RefineOutcome(None, None, f_bar, tried)
 
 
@@ -273,7 +257,8 @@ def ord_solve(
     to an inactive atom; with every atom active the run instead ends at the
     first floor-tolerance iteration that changes nothing. ``sink``, when given,
     receives one OrdTraceRecord per outer iteration; without it none is built.
-    Refine reads the objective's budget, which fixes how it draws its order.
+    Refine reads the objective's budget: a sweep with more inactive atoms than
+    that draws only budget + 1 of them, by rng.choice, not a full permutation.
 
     Every evaluated point lies in conv(atoms), up to rounding: the inner
     solves probe the active subset's hull, refine probes a segment toward an

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,15 +21,12 @@ from atomdfo.core import (
 )
 from atomdfo.dfsimplex import StopReason, df_simplex_solve
 from atomdfo.ord import (
-    REFINE_BLOCK_MAX,
-    REFINE_BLOCK_MIN,
     OrdStop,
     PoisednessFailure,
     RefineOutcome,
     drop_phase,
     farthest_distance,
     ord_solve,
-    partial_shuffle,
     poll_gradient,
     reexpress_weights,
     refine_phase,
@@ -92,9 +91,11 @@ class TestRefinePhase:
         assert tried[0] == tried[1]
 
 
-def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng):
-    """refine_phase one candidate at a time: one trial point per evaluation."""
-    order = rng.permutation(len(candidates))
+def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng,
+                      draw=lambda rng, count: rng.permutation(count)):
+    """refine_phase one candidate at a time, in the order ``draw`` gives: one trial
+    point per evaluation."""
+    order = draw(rng, len(candidates))
     tried = 0
     for idx in order:
         atom_id = int(candidates[idx])
@@ -110,8 +111,9 @@ def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng):
 
 
 # (candidates, evaluation that succeeds or None, evaluations left or None);
-# blocks cover rows 0-7, 8-23, 24-55, 56-119, 120-247, 248-503, then 256 rows
-# each. An objective with evaluations left has a budget of the candidate count
+# blocks of REFINE_BLOCK = 64 rows cover 0-63, 64-127 and so on: rows 63, 64,
+# 127 and 128 sit on their boundaries, the rest inside a block or at a sweep's
+# ends. An objective with evaluations left has a budget of the candidate count
 # and has spent the rest, so the sweep fits the whole budget (a full
 # permutation) and still stops on it
 REFINE_CASES = [
@@ -120,7 +122,9 @@ REFINE_CASES = [
     (8, 0, None), (8, 7, None), (8, None, None),
     (9, 8, None), (9, None, None), (9, None, 8),
     (100, 0, None), (100, 8, None), (100, 15, None), (100, 23, None),
-    (100, 24, None), (100, 99, None), (100, None, None), (100, None, 12),
+    (100, 24, None), (100, 63, None), (100, 64, None),
+    (100, 99, None), (100, None, None), (100, None, 12),
+    (3000, 127, None), (3000, 128, None),
     (3000, 248, None), (3000, 400, None), (3000, 503, None), (3000, 504, None),
     (3000, 2999, None), (3000, None, None), (3000, None, 600),
 ]
@@ -168,32 +172,11 @@ def test_refine_matches_per_candidate_reference(count, success_at, left):
         assert out.x_next is None
 
 
-def _refine_lazy_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng):
-    """refine_phase's lazy order one candidate at a time, swapping in a copied array."""
-    order = np.arange(len(candidates))
-    tried, size = 0, REFINE_BLOCK_MIN
-    while tried < len(order):
-        stop = min(tried + size, len(order))
-        for k, r in zip(range(tried, stop), rng.random(stop - tried)):
-            j = k + int(r * (len(order) - k))
-            order[k], order[j] = order[j], order[k]
-            atom_id = int(candidates[order[k]])
-            trial = x_bar + mu_hat * (atoms.atoms[atom_id] - x_bar)
-            try:
-                f_trial = f(trial)
-            except BudgetExhausted:
-                return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
-            tried += 1
-            if f_trial < f_bar and f_trial <= f_bar - gamma * mu_hat * mu_hat:
-                return RefineOutcome(atom_id, trial, f_trial, tried)
-        size = min(2 * size, REFINE_BLOCK_MAX)
-    return RefineOutcome(None, None, f_bar, tried)
-
-
 # (candidates, evaluation that succeeds or None, budget): more candidates
-# than the objective's budget, so the order is drawn a block at a time;
-# success at the first and last row of each block the budget reaches, and
-# budget stops, one of them with the success one evaluation past the budget
+# than the objective's budget, so the sweep draws budget + 1 positions by
+# rng.choice; success early, late and at the budget's last evaluation, and
+# budget stops, one of them with the success on the extra position, one
+# evaluation past the budget
 LAZY_REFINE_CASES = [
     (9, 0, 8), (9, 7, 8), (9, 8, 8), (9, None, 8),
     (100, 0, 12), (100, 7, 12), (100, 8, 12), (100, 11, 12), (100, None, 12),
@@ -227,8 +210,11 @@ def test_lazy_refine_matches_per_candidate_reference(count, success_at, budget):
         out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng)
         return out, points, rng.bit_generator.state
 
+    def draw(rng, count):
+        return rng.choice(count, budget + 1, replace=False)
+
     out, points, state = run(refine_phase)
-    ref, ref_points, ref_state = run(_refine_lazy_reference)
+    ref, ref_points, ref_state = run(functools.partial(_refine_reference, draw=draw))
     assert points == ref_points
     assert state == ref_state
     assert out.atom_id == ref.atom_id
@@ -243,20 +229,6 @@ def test_lazy_refine_matches_per_candidate_reference(count, success_at, budget):
 def _id_atoms(m):
     """Atoms at x = (i,), so a trial point at mu_hat = 1 from x_bar = 0 is its id."""
     return AtomSet(np.arange(float(m)).reshape(m, 1))
-
-
-@pytest.mark.parametrize("n", [1, 2, 9, 300, 3000])
-def test_lazy_sweep_without_a_budget_tries_every_candidate_once(n):
-    # refine's blocks of 8 doubling to 256, run to the end as a sweep that
-    # never succeeds would be without a budget: every position is drawn once,
-    # so a failed sweep certifies that no candidate gives sufficient decrease
-    rng, moved, order, start, size = np.random.default_rng(n), {}, [], 0, REFINE_BLOCK_MIN
-    while start < n:
-        order += partial_shuffle(rng, moved, n, start, size)
-        start, size = start + size, min(2 * size, REFINE_BLOCK_MAX)
-    assert sorted(order) == list(range(n))
-    assert not moved  # each position is popped once its entry is returned
-    assert n < 9 or order != list(range(n))
 
 
 @pytest.mark.parametrize("position", [0, 1])
@@ -281,20 +253,25 @@ def test_lazy_order_positions_are_uniform(position):
     assert chisquare(counts).pvalue > 1e-3
 
 
-class _TopRng:
-    """Draws the largest double below 1 every time."""
+@pytest.mark.parametrize("m, budget", [(2, 1), (9, 8), (20, 2), (20000, 1100)])
+def test_long_sweep_spends_the_whole_budget_on_distinct_atoms(m, budget):
+    # on an objective that has spent nothing, a sweep longer than its budget
+    # pays for budget distinct atoms, and the refused call on the extra drawn
+    # position reports the exhausted budget
+    rng = np.random.default_rng(m)
+    tried = []
 
-    def random(self, size):
-        return np.full(size, np.nextafter(1.0, 0.0))
+    def f(x):
+        tried.append(int(x[0]))
+        return 1.0
 
-
-@pytest.mark.parametrize("span", [1, 3, 2**31 - 1])
-def test_lazy_order_index_stays_below_n(span):
-    start = 5
-    n = start + span
-    moved = {}
-    assert partial_shuffle(_TopRng(), moved, n, start, 1) == [n - 1]
-    assert max(moved, default=start) < n
+    objective = BudgetedObjective(f, budget=budget)
+    out = refine_phase(objective, np.zeros(1), 1.0, _id_atoms(m), range(m), 1.0, 1e-6, rng)
+    assert out.budget_exhausted and not out.found
+    assert out.candidates_tried == len(set(tried)) == len(tried) == budget
+    expected = np.random.default_rng(m)
+    assert tried == expected.choice(m, budget + 1, replace=False)[:budget].tolist()
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_refine_called_through_the_module_global(monkeypatch):
@@ -736,7 +713,7 @@ class TestOrdSolve:
 
     def test_lazy_refine_run_is_seeded_and_within_budget(self):
         # m = 3000 atoms against a budget of 300: every refine sweep is longer
-        # than the budget, so each one draws its order as it goes
+        # than the budget, so each one draws 301 positions by rng.choice
         problem = make_problem("ext_rosenbrock", 2, 3000, seed=1, budget_factor=100)
         func = make_test_function("ext_rosenbrock", 2)
         runs = []

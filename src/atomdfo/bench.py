@@ -1,15 +1,17 @@
 """Problem generators: the 25-function catalog, uniform atom clouds, l1-ball atoms.
 
 Function formulas follow the standard unconstrained-collection definitions
-(Andrei's collection and CUTEst). Each gradient comes by complex step from its
-value function (Squire & Trapp, SIAM Review 40(1), 1998), exact to rounding.
-The solvers never read a gradient: its consumers are the benchmark's
-Frank-Wolfe reference values and the tests, which check it against central
-finite differences.
+(Andrei's collection and CUTEst), each with fewer numpy calls than its textbook
+form and bit-identical to it, as the oracle in tests/test_bench.py checks; index
+vectors 1..n are cached read-only per n. Each gradient comes by complex step from
+its value function (Squire & Trapp, SIAM Review 40(1), 1998), exact to rounding.
+The solvers never read a gradient: its consumers are the benchmark's Frank-Wolfe
+reference values and the tests, which check it against central finite differences.
 """
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -29,8 +31,11 @@ class BenchFunction:
         return self.value(x)
 
 
-def _pairs(x):
-    return x[0::2], x[1::2]
+@functools.lru_cache(maxsize=None)
+def _index(n):
+    i = np.arange(1.0, n + 1.0)  # shared by every call at n: a write must fail, not leak
+    i.flags.writeable = False
+    return i
 
 
 # --- separable / chained entries -------------------------------------------
@@ -40,158 +45,152 @@ def _arwhead(x):
     # ARWHEAD (CUTEst): sum (x_i^2 + x_n^2)^2 - 4 x_i + 3 over i < n
     head, tail = x[:-1], x[-1]
     t = head**2 + tail**2
-    return (t**2 - 4.0 * head + 3.0).sum()
+    return np.add.reduce(t**2 - 4.0 * head + 3.0)
 
 
 def _cosine(x):
     # COSINE (CUTEst): sum cos(x_i^2 - 0.5 x_{i+1})
-    u = x[:-1] ** 2 - 0.5 * x[1:]
-    return np.cos(u).sum()
+    return np.add.reduce(np.cos(x[:-1] ** 2 - 0.5 * x[1:]))
 
 
 def _sine(x):
     # SINE: sine analogue of COSINE, sum sin(x_i^2 - 0.5 x_{i+1})
-    u = x[:-1] ** 2 - 0.5 * x[1:]
-    return np.sin(u).sum()
+    return np.add.reduce(np.sin(x[:-1] ** 2 - 0.5 * x[1:]))
 
 
 def _cube(x):
     # CUBE: (x_1 - 1)^2 + 100 sum (x_i - x_{i-1}^3)^2
     r = x[1:] - x[:-1] ** 3
-    return (x[0] - 1.0) ** 2 + 100.0 * (r**2).sum()
+    return (x[0] - 1.0) ** 2 + 100.0 * np.add.reduce(r**2)
 
 
 def _diagonal8(x):
     # Diagonal 8 (Andrei): sum x_i exp(x_i) - 2 x_i - x_i^2
-    return (x * np.exp(x) - 2.0 * x - x**2).sum()
+    return np.add.reduce(x * np.exp(x) - 2.0 * x - x**2)
 
 
 def _ext_penalty(x):
     # Extended penalty (Andrei): sum_{i<n} (x_i - 1)^2 + (sum x_j^2 - 0.25)^2
-    t = (x**2).sum() - 0.25
-    return ((x[:-1] - 1.0) ** 2).sum() + t**2
+    t = np.add.reduce(x**2) - 0.25
+    return np.add.reduce((x[:-1] - 1.0) ** 2) + t**2
 
 
 def _ext_trigonometric(x):
     # Extended trigonometric (Andrei): residuals over the full cosine sum
     n = len(x)
-    i = np.arange(1, n + 1)
-    r = (n - np.cos(x).sum()) + i * (1.0 - np.cos(x)) - np.sin(x)
-    return (r**2).sum()
+    c = np.cos(x)
+    r = (n - np.add.reduce(c)) + _index(n) * (1.0 - c) - np.sin(x)
+    return np.add.reduce(r**2)
 
 
 def _fletchcr(x):
     # FLETCHCR (CUTEst): 100 sum (x_{i+1} - x_i + 1 - x_i^2)^2
-    r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-    return 100.0 * (r**2).sum()
+    head = x[:-1]
+    r = x[1:] - head + 1.0 - head**2
+    return 100.0 * np.add.reduce(r**2)
 
 
 def _genhumps(x):
     # GENHUMPS (CUTEst): sum sin(2x_i)^2 sin(2x_{i+1})^2 + 0.05 (x_i^2 + x_{i+1}^2)
     s = np.sin(2.0 * x)
-    return (s[:-1] ** 2 * s[1:] ** 2 + 0.05 * (x[:-1] ** 2 + x[1:] ** 2)).sum()
+    return np.add.reduce(s[:-1] ** 2 * s[1:] ** 2 + 0.05 * (x[:-1] ** 2 + x[1:] ** 2))
 
 
 def _mccormck(x):
     # MCCORMCK (CUTEst): sum -1.5 x_i + 2.5 x_{i+1} + 1 + (x_i - x_{i+1})^2 + sin(x_i + x_{i+1})
     u, v = x[:-1], x[1:]
-    return (-1.5 * u + 2.5 * v + 1.0 + (u - v) ** 2 + np.sin(u + v)).sum()
+    return np.add.reduce(-1.5 * u + 2.5 * v + 1.0 + (u - v) ** 2 + np.sin(u + v))
 
 
 def _power(x):
     # Power (Andrei): sum (i x_i)^2
-    i = np.arange(1, len(x) + 1)
-    return ((i * x) ** 2).sum()
+    return np.add.reduce((_index(len(x)) * x) ** 2)
 
 
 def _quartc(x):
     # QUARTC (CUTEst): sum (x_i - i)^4
-    i = np.arange(1, len(x) + 1)
-    return ((x - i) ** 4).sum()
+    return np.add.reduce((x - _index(len(x))) ** 4)
 
 
 def _staircase1(x):
     # Staircase S1 (Andrei): sum (s_i - i)^2 with s_i the cumulative sum
-    s = np.cumsum(x)
-    i = np.arange(1, len(x) + 1)
-    return ((s - i) ** 2).sum()
+    return np.add.reduce((np.add.accumulate(x) - _index(len(x))) ** 2)
 
 
 def _staircase2(x):
     # Staircase S2 (Andrei): sum (s_i - 2i)^2 with s_i the cumulative sum
-    s = np.cumsum(x)
-    i = np.arange(1, len(x) + 1)
-    return ((s - 2.0 * i) ** 2).sum()
+    return np.add.reduce((np.add.accumulate(x) - 2.0 * _index(len(x))) ** 2)
 
 
-# --- pairwise "Extended" entries (even n) -----------------------------------
+# --- pairwise "Extended" entries (even n): u = x_1, x_3, ..., v = x_2, x_4, ...
 
 
 def _ext_beale(x):
-    u, v = _pairs(x)
+    u, v = x[0::2], x[1::2]
     r1 = 1.5 - u * (1.0 - v)
     r2 = 2.25 - u * (1.0 - v**2)
     r3 = 2.625 - u * (1.0 - v**3)
-    return (r1**2 + r2**2 + r3**2).sum()
+    return np.add.reduce(r1**2 + r2**2 + r3**2)
 
 
 def _ext_cliff(x):
     # Extended Cliff: ((u-3)/100)^2 - (u-v) + exp(20(u-v)) per pair
-    u, v = _pairs(x)
-    return (((u - 3.0) / 100.0) ** 2 - (u - v) + np.exp(20.0 * (u - v))).sum()
+    u, v = x[0::2], x[1::2]
+    d = u - v
+    return np.add.reduce(((u - 3.0) / 100.0) ** 2 - d + np.exp(20.0 * d))
 
 
 def _ext_denschnb(x):
-    u, v = _pairs(x)
-    return ((u - 2.0) ** 2 + ((u - 2.0) ** 2) * v**2 + (v + 1.0) ** 2).sum()
+    a, v = (x[0::2] - 2.0) ** 2, x[1::2]
+    return np.add.reduce(a + a * v**2 + (v + 1.0) ** 2)
 
 
 def _ext_denschnf(x):
-    u, v = _pairs(x)
+    u, v = x[0::2], x[1::2]
     r1 = 2.0 * (u + v) ** 2 + (u - v) ** 2 - 8.0
     r2 = 5.0 * u**2 + (v - 3.0) ** 2 - 9.0
-    return (r1**2 + r2**2).sum()
+    return np.add.reduce(r1**2 + r2**2)
 
 
 def _ext_freudenstein_roth(x):
-    u, v = _pairs(x)
+    u, v = x[0::2], x[1::2]
     r1 = -13.0 + u + ((5.0 - v) * v - 2.0) * v
     r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
-    return (r1**2 + r2**2).sum()
+    return np.add.reduce(r1**2 + r2**2)
 
 
 def _ext_hiebert(x):
-    u, v = _pairs(x)
-    return ((u - 10.0) ** 2 + (u * v - 50000.0) ** 2).sum()
+    u, v = x[0::2], x[1::2]
+    return np.add.reduce((u - 10.0) ** 2 + (u * v - 50000.0) ** 2)
 
 
 def _ext_himmelblau(x):
-    u, v = _pairs(x)
+    u, v = x[0::2], x[1::2]
     r1 = u**2 + v - 11.0
     r2 = u + v**2 - 7.0
-    return (r1**2 + r2**2).sum()
+    return np.add.reduce(r1**2 + r2**2)
 
 
 def _ext_maratos(x):
-    u, v = _pairs(x)
+    u, v = x[0::2], x[1::2]
     t = u**2 + v**2 - 1.0
-    return (u + 100.0 * t**2).sum()
+    return np.add.reduce(u + 100.0 * t**2)
 
 
 def _ext_psc1(x):
-    u, v = _pairs(x)
+    u, v = x[0::2], x[1::2]
     t = u**2 + v**2 + u * v
-    return (t**2 + np.sin(u) ** 2 + np.cos(v) ** 2).sum()
+    return np.add.reduce(t**2 + np.sin(u) ** 2 + np.cos(v) ** 2)
 
 
 def _ext_rosenbrock(x):
-    u, v = _pairs(x)
-    return (100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2).sum()
+    u, v = x[0::2], x[1::2]
+    return np.add.reduce(100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2)
 
 
 def _ext_white_holst(x):
-    u, v = _pairs(x)
-    return (100.0 * (v - u**3) ** 2 + (1.0 - u) ** 2).sum()
+    u, v = x[0::2], x[1::2]
+    return np.add.reduce(100.0 * (v - u**3) ** 2 + (1.0 - u) ** 2)
 
 
 # name -> (value, requires_even_n, min_n). Each value is a real-analytic numpy
@@ -233,6 +232,9 @@ _COMPLEX_STEP = 1e-100
 
 
 def valid_dimension(name: str, n: int) -> bool:
+    # a float n would pass the checks below and build a function failing every call
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if name not in _CATALOG:
         return False
     _, even, min_n = _CATALOG[name]
@@ -243,11 +245,9 @@ def make_test_function(name: str, n: int) -> BenchFunction:
     """Instantiate a catalog function at dimension n, with its complex-step gradient."""
     if name not in _CATALOG:
         raise KeyError(f"unknown function {name!r}; known: {', '.join(FUNCTION_NAMES)}")
-    value, even, min_n = _CATALOG[name]
-    if n < min_n:
-        raise ValueError(f"{name} needs n >= {min_n}, got {n}")
-    if even and n % 2 != 0:
-        raise ValueError(f"{name} pairs its variables and needs even n, got {n}")
+    if not valid_dimension(name, n):
+        raise ValueError(f"function {name!r} does not accept dimension n={n}")
+    value = _CATALOG[name][0]
 
     def f(x):
         x = np.asarray(x, dtype=float)

@@ -52,8 +52,9 @@ def test_gradient_matches_central_differences(name):
 
 
 # f(sqrt(1..10)) at n = 10, then f(linspace(0.5, 4.5, 5)) at n = 5 where the
-# entry accepts odd n. The benchmark's digests pin the values bit for bit; the
-# tolerance only forgives a last-ulp libm difference on another platform.
+# entry accepts odd n. The tolerance only forgives a last-ulp libm difference
+# on another platform; bit identity with the textbook expressions is pinned on
+# every platform by test_values_and_gradients_match_textbook_bit_for_bit below.
 PINNED_VALUES = {
     "arwhead": (2034.7759978958579, 2665),
     "cosine": (1.3213424559043785, 0.36801753925128045),
@@ -93,6 +94,236 @@ def test_values_at_fixed_points(name):
         assert value == pytest.approx(expected, rel=1e-15)
         grad = func.gradient(x)
         assert grad.dtype == np.float64 and grad.shape == x.shape
+
+
+# --- the textbook expressions, kept as the oracle for the catalog -----------
+# Each catalog entry is one of these with fewer numpy calls: the same ufuncs on
+# the same operands in the same order, so values and complex-step gradients
+# must match them bit for bit.
+
+
+def _pairs(x):
+    return x[0::2], x[1::2]
+
+
+def _tb_arwhead(x):
+    head, tail = x[:-1], x[-1]
+    t = head**2 + tail**2
+    return (t**2 - 4.0 * head + 3.0).sum()
+
+
+def _tb_cosine(x):
+    u = x[:-1] ** 2 - 0.5 * x[1:]
+    return np.cos(u).sum()
+
+
+def _tb_sine(x):
+    u = x[:-1] ** 2 - 0.5 * x[1:]
+    return np.sin(u).sum()
+
+
+def _tb_cube(x):
+    r = x[1:] - x[:-1] ** 3
+    return (x[0] - 1.0) ** 2 + 100.0 * (r**2).sum()
+
+
+def _tb_diagonal8(x):
+    return (x * np.exp(x) - 2.0 * x - x**2).sum()
+
+
+def _tb_ext_penalty(x):
+    t = (x**2).sum() - 0.25
+    return ((x[:-1] - 1.0) ** 2).sum() + t**2
+
+
+def _tb_ext_trigonometric(x):
+    n = len(x)
+    i = np.arange(1, n + 1)
+    r = (n - np.cos(x).sum()) + i * (1.0 - np.cos(x)) - np.sin(x)
+    return (r**2).sum()
+
+
+def _tb_fletchcr(x):
+    r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
+    return 100.0 * (r**2).sum()
+
+
+def _tb_genhumps(x):
+    s = np.sin(2.0 * x)
+    return (s[:-1] ** 2 * s[1:] ** 2 + 0.05 * (x[:-1] ** 2 + x[1:] ** 2)).sum()
+
+
+def _tb_mccormck(x):
+    u, v = x[:-1], x[1:]
+    return (-1.5 * u + 2.5 * v + 1.0 + (u - v) ** 2 + np.sin(u + v)).sum()
+
+
+def _tb_power(x):
+    i = np.arange(1, len(x) + 1)
+    return ((i * x) ** 2).sum()
+
+
+def _tb_quartc(x):
+    i = np.arange(1, len(x) + 1)
+    return ((x - i) ** 4).sum()
+
+
+def _tb_staircase1(x):
+    s = np.cumsum(x)
+    i = np.arange(1, len(x) + 1)
+    return ((s - i) ** 2).sum()
+
+
+def _tb_staircase2(x):
+    s = np.cumsum(x)
+    i = np.arange(1, len(x) + 1)
+    return ((s - 2.0 * i) ** 2).sum()
+
+
+def _tb_ext_beale(x):
+    u, v = _pairs(x)
+    r1 = 1.5 - u * (1.0 - v)
+    r2 = 2.25 - u * (1.0 - v**2)
+    r3 = 2.625 - u * (1.0 - v**3)
+    return (r1**2 + r2**2 + r3**2).sum()
+
+
+def _tb_ext_cliff(x):
+    u, v = _pairs(x)
+    return (((u - 3.0) / 100.0) ** 2 - (u - v) + np.exp(20.0 * (u - v))).sum()
+
+
+def _tb_ext_denschnb(x):
+    u, v = _pairs(x)
+    return ((u - 2.0) ** 2 + ((u - 2.0) ** 2) * v**2 + (v + 1.0) ** 2).sum()
+
+
+def _tb_ext_denschnf(x):
+    u, v = _pairs(x)
+    r1 = 2.0 * (u + v) ** 2 + (u - v) ** 2 - 8.0
+    r2 = 5.0 * u**2 + (v - 3.0) ** 2 - 9.0
+    return (r1**2 + r2**2).sum()
+
+
+def _tb_ext_freudenstein_roth(x):
+    u, v = _pairs(x)
+    r1 = -13.0 + u + ((5.0 - v) * v - 2.0) * v
+    r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
+    return (r1**2 + r2**2).sum()
+
+
+def _tb_ext_hiebert(x):
+    u, v = _pairs(x)
+    return ((u - 10.0) ** 2 + (u * v - 50000.0) ** 2).sum()
+
+
+def _tb_ext_himmelblau(x):
+    u, v = _pairs(x)
+    r1 = u**2 + v - 11.0
+    r2 = u + v**2 - 7.0
+    return (r1**2 + r2**2).sum()
+
+
+def _tb_ext_maratos(x):
+    u, v = _pairs(x)
+    t = u**2 + v**2 - 1.0
+    return (u + 100.0 * t**2).sum()
+
+
+def _tb_ext_psc1(x):
+    u, v = _pairs(x)
+    t = u**2 + v**2 + u * v
+    return (t**2 + np.sin(u) ** 2 + np.cos(v) ** 2).sum()
+
+
+def _tb_ext_rosenbrock(x):
+    u, v = _pairs(x)
+    return (100.0 * (v - u**2) ** 2 + (1.0 - u) ** 2).sum()
+
+
+def _tb_ext_white_holst(x):
+    u, v = _pairs(x)
+    return (100.0 * (v - u**3) ** 2 + (1.0 - u) ** 2).sum()
+
+
+TEXTBOOK = {name: globals()["_tb_" + name] for name in FUNCTION_NAMES}
+
+
+def _textbook_gradient(value, x):
+    """The complex-step gradient of a textbook expression, step for step as bench computes it."""
+    z = x.astype(complex)
+    grad = np.empty(len(x))
+    for i in range(len(x)):
+        z[i] += bench._COMPLEX_STEP * 1j
+        grad[i] = value(z).imag / bench._COMPLEX_STEP
+        z[i] = x[i]
+    return grad
+
+
+def _oracle_points(n, seed):
+    """Seeded points from [0, 10]^n, [-10, 0]^n and of magnitude about 1e3, either sign."""
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        yield rng.uniform(0.0, 10.0, n)
+        yield rng.uniform(-10.0, 0.0, n)
+        yield rng.uniform(500.0, 2000.0, n) * rng.choice([-1.0, 1.0], n)
+
+
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_values_and_gradients_match_textbook_bit_for_bit(name):
+    # bytes, not ==: NaN (an overflow at |x| ~ 1e3) and the sign of zero count too
+    for n in (10, 1, 5):
+        if not valid_dimension(name, n):
+            continue
+        func = make_test_function(name, n)
+        with np.errstate(all="ignore"):
+            for x in _oracle_points(n, seed=n):
+                expected = np.float64(TEXTBOOK[name](x)).tobytes()
+                assert np.float64(func.value(x)).tobytes() == expected, (name, n, x)
+                grad = _textbook_gradient(TEXTBOOK[name], x).tobytes()
+                assert func.gradient(x).tobytes() == grad, (name, n, x)
+
+
+def test_catalog_calls_are_pure():
+    """Repeated calls and any call order give the same bits, and nothing is written."""
+    rng = np.random.default_rng(7)
+    points = {n: rng.uniform(-10.0, 10.0, n) for n in (5, 10)}
+    funcs = [make_test_function(name, n) for name in FUNCTION_NAMES for n in points
+             if valid_dimension(name, n)]
+    for x in points.values():
+        x.flags.writeable = False  # an in-place op on the point raises
+
+    def values(order):
+        return {i: np.float64(funcs[i].value(points[funcs[i].n])).tobytes() for i in order}
+
+    first = values(range(len(funcs)))
+    assert values(range(len(funcs))) == first
+    assert values(rng.permutation(len(funcs))) == first
+    assert values(reversed(range(len(funcs)))) == first
+    for n in points:
+        index = bench._index(n)
+        assert index is bench._index(n)
+        assert index.dtype == np.float64 and np.array_equal(index, np.arange(1, n + 1))
+        with pytest.raises(ValueError):
+            index[0] = 0.0
+        with pytest.raises(ValueError):
+            index += 1.0
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, True, "4", None])
+def test_non_integer_dimension_rejected(n):
+    # a float n passed every check and built a function whose every call raised
+    with pytest.raises(ValueError, match="integer"):
+        valid_dimension("power", n)
+    with pytest.raises(ValueError, match="integer"):
+        make_test_function("power", n)
+    with pytest.raises(ValueError, match="integer"):
+        make_problem("power", n, 10, seed=0)
+
+
+def test_numpy_integer_dimension_accepted():
+    assert valid_dimension("power", np.int64(4))
+    assert make_test_function("power", np.int64(4))(np.ones(4)) == 30.0
 
 
 @pytest.mark.parametrize("name", sorted(set(FUNCTION_NAMES) - EVEN_ONLY))

@@ -3,7 +3,8 @@
 Everything here exists to check the solvers, not to run inside them. The cone
 projection oracle is exponential in the number of active zero weights and is
 capped accordingly; the property suite turns the geometric facts the solvers
-rely on into randomized, seeded checks with explicit margins.
+rely on into randomized, seeded checks with explicit margins. The five cone
+checks draw every random face from one sampler, _random_faces.
 """
 from __future__ import annotations
 
@@ -173,6 +174,20 @@ def _random_quadratic(rng: np.random.Generator, m: int, scale: float = 1.0):
     return (lambda y: float(0.5 * y @ Q @ y + c @ y)), (lambda y: Q @ y + c), L
 
 
+def _random_faces(rng: np.random.Generator, trials: int, keep_two: bool = False):
+    """Per trial: y on a random face of the m-simplex, m in 2..8 (with keep_two, at least two
+    positive weights), its feasible directions against argmax y, then v ~ N(0, I)."""
+    for _ in range(trials):
+        m = int(rng.integers(2, 9))
+        y = random_simplex_point(rng, m, int(rng.integers(0, m - 1 if keep_two else m)))
+        yield y, feasible_direction_set(y, int(np.argmax(y))), rng.normal(size=m)
+
+
+def _best_ascent(v: np.ndarray, dirs: List[Tuple[int, int, int]]):
+    """max_{d in dirs} v^T d."""
+    return max(sign * (v[i] - v[j]) for sign, i, j in dirs)
+
+
 def check_cone_measure(
     trials: int,
     rng: np.random.Generator,
@@ -185,17 +200,9 @@ def check_cone_measure(
     face is exercised separately by check_cone_polarity.
     """
     worst = np.inf
-    for _ in range(trials):
-        m = int(rng.integers(2, 9))
-        n_zeros = int(rng.integers(0, m - 1))  # keep at least 2 positive coordinates
-        y = random_simplex_point(rng, m, n_zeros)
-        j = int(np.argmax(y))
-        dirs = feasible_direction_set(y, j)
-        v = rng.normal(size=m)
-        v_t = project(v, y)
-        lhs = max(sign * (v[i] - v[jj]) for sign, i, jj in dirs)
-        rhs = float(np.linalg.norm(v_t)) / (2.0 * (m - 1))
-        worst = min(worst, lhs - rhs)
+    for y, dirs, v in _random_faces(rng, trials, keep_two=True):
+        rhs = float(np.linalg.norm(project(v, y))) / (2.0 * (len(y) - 1))
+        worst = min(worst, _best_ascent(v, dirs) - rhs)
     return PropertyReport("cone-measure", trials, worst, worst >= -1e-10)
 
 
@@ -210,19 +217,11 @@ def check_cone_polarity(
     check_cone_measure on the degenerate case.
     """
     worst = np.inf
-    for _ in range(trials):
-        m = int(rng.integers(2, 9))
-        n_zeros = int(rng.integers(0, m))
-        y = random_simplex_point(rng, m, n_zeros)
-        j = int(np.argmax(y))
-        dirs = feasible_direction_set(y, j)
-        v = rng.normal(size=m)
-        v_t = project(v, y)
-        if np.linalg.norm(v_t) > 1e-12:
+    for y, dirs, v in _random_faces(rng, trials):
+        if np.linalg.norm(project(v, y)) > 1e-12:
             continue
-        worst = min(worst, -max(sign * (v[i] - v[jj]) for sign, i, jj in dirs))
-    if np.isinf(worst):
-        worst = 0.0
+        worst = min(worst, -_best_ascent(v, dirs))
+    worst = 0.0 if np.isinf(worst) else worst
     return PropertyReport("cone-polarity", trials, worst, worst >= -1e-10)
 
 
@@ -231,16 +230,9 @@ def check_generator_property(trials: int, rng: np.random.Generator) -> PropertyR
     from scipy.optimize import nnls
 
     worst = -np.inf
-    for _ in range(trials):
-        m = int(rng.integers(2, 9))
-        n_zeros = int(rng.integers(0, m))
-        y = random_simplex_point(rng, m, n_zeros)
-        j = int(np.argmax(y))
-        dirs = feasible_direction_set(y, j)
-        v = rng.normal(size=m)
-        v_t = tangent_cone_project(v, y)
-        D = np.column_stack([direction_vector(s, i, jj, m) for s, i, jj in dirs])
-        _, residual = nnls(D, v_t)
+    for y, dirs, v in _random_faces(rng, trials):
+        D = np.column_stack([direction_vector(s, i, j, len(y)) for s, i, j in dirs])
+        _, residual = nnls(D, tangent_cone_project(v, y))
         worst = max(worst, residual)
     return PropertyReport("cone-generators", trials, 1e-8 - worst, worst <= 1e-8)
 
@@ -252,19 +244,11 @@ def check_polar_decomposition(
 ) -> PropertyReport:
     """v = v_T + v_N with v_T orthogonal to v_N and v_N polar to every direction."""
     worst = np.inf
-    for _ in range(trials):
-        m = int(rng.integers(2, 9))
-        n_zeros = int(rng.integers(0, m))
-        y = random_simplex_point(rng, m, n_zeros)
-        j = int(np.argmax(y))
-        v = rng.normal(size=m)
+    for y, dirs, v in _random_faces(rng, trials):
         v_t = project(v, y)
         v_n = v - v_t
         orth = abs(float(v_t @ v_n))
-        polar = max(
-            s * (v_n[i] - v_n[jj]) for s, i, jj in feasible_direction_set(y, j)
-        )
-        worst = min(worst, 1e-10 - orth, 1e-10 - polar)
+        worst = min(worst, 1e-10 - orth, 1e-10 - _best_ascent(v_n, dirs))
     return PropertyReport("polar-decomposition", trials, worst, worst >= 0.0)
 
 
@@ -275,13 +259,8 @@ def check_kkt_upper_bound(
 ) -> PropertyReport:
     """kkt_gap(g, y) <= sqrt(2) * ||(-g)_T(y)|| on random points and gradients."""
     worst = np.inf
-    for _ in range(trials):
-        m = int(rng.integers(2, 9))
-        n_zeros = int(rng.integers(0, m))
-        y = random_simplex_point(rng, m, n_zeros)
-        g = rng.normal(size=m)
-        v_t = tangent_cone_project(-g, y)
-        bound = np.sqrt(2.0) * float(np.linalg.norm(v_t))
+    for y, _, g in _random_faces(rng, trials):
+        bound = np.sqrt(2.0) * float(np.linalg.norm(tangent_cone_project(-g, y)))
         worst = min(worst, bound - gap(g, y))
     return PropertyReport("kkt-upper-bound", trials, worst, worst >= -1e-10)
 

@@ -242,13 +242,18 @@ def check_polar_decomposition(
     rng: np.random.Generator,
     project: Callable[[np.ndarray, np.ndarray], np.ndarray] = tangent_cone_project,
 ) -> PropertyReport:
-    """v = v_T + v_N with v_T orthogonal to v_N and v_N polar to every direction."""
+    """v = v_T + v_N with v_T in T(y), v_T orthogonal to v_N and v_N polar to every direction.
+
+    v_T in T(y) is sum(v_T) = 0 and v_T >= 0 where y is zero; without it a
+    projector onto the hyperplane sum(u) = 0 would pass.
+    """
     worst = np.inf
     for y, dirs, v in _random_faces(rng, trials):
         v_t = project(v, y)
         v_n = v - v_t
         orth = abs(float(v_t @ v_n))
-        worst = min(worst, 1e-10 - orth, 1e-10 - _best_ascent(v_n, dirs))
+        cone = max(abs(float(v_t.sum())), float(np.max(-v_t[y <= ZERO_TOL], initial=0.0)))
+        worst = min(worst, 1e-10 - orth, 1e-10 - _best_ascent(v_n, dirs), 1e-10 - cone)
     return PropertyReport("polar-decomposition", trials, worst, worst >= 0.0)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from atomdfo.analysis import (
     CapExceeded,
+    _random_faces,
     check_cone_measure,
     check_cone_polarity,
     check_generator_property,
@@ -170,11 +171,55 @@ class TestNegativeControls:
         report = check_kkt_upper_bound(200, np.random.default_rng(6), gap=inflated)
         assert not report.passed
 
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_zero_projector_fails_polarity_and_polar_suites(self, seed):
+        # v_T = 0 for every v claims every v is in the normal cone
+        zero = lambda v, y: np.zeros_like(v)
+        for check in (check_cone_polarity, check_polar_decomposition):
+            report = check(200, np.random.default_rng(seed), project=zero)
+            assert not report.passed and report.worst_margin < -1.0, report.line()
+
+    def test_hyperplane_projector_fails_polar_suite(self):
+        # sum(v_T) = 0 but v_T < 0 on zero weights: orthogonal and polar, not in the cone
+        hyperplane = lambda v, y: v - v.mean()
+        report = check_polar_decomposition(200, np.random.default_rng(12), project=hyperplane)
+        assert not report.passed and report.worst_margin < -1.0, report.line()
+
     def test_flipped_sufficient_decrease_fails_stationarity_suite(self):
         # a gap reported with the wrong sign convention breaks the bound
         flipped = lambda g, y: -kkt_gap(g, y) + 2.0 * abs(kkt_gap(g, y)) + 1e3
         report = check_stationarity_bound(3, np.random.default_rng(7), gap=flipped)
         assert not report.passed
+
+
+def _parent_faces(rng, trials, keep_two):
+    """Reference for _random_faces: the per-trial draw written out call by call."""
+    for _ in range(trials):
+        m = int(rng.integers(2, 9))
+        n_zeros = int(rng.integers(0, m - 1)) if keep_two else int(rng.integers(0, m))
+        y = random_simplex_point(rng, m, n_zeros)
+        j = int(np.argmax(y))
+        dirs = feasible_direction_set(y, j)
+        v = rng.normal(size=m)
+        yield y, dirs, v
+
+
+class TestRandomFaces:
+    @pytest.mark.parametrize("keep_two", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_same_stream_as_the_inline_draw(self, seed, keep_two):
+        # the suite shares one generator across its checks, so one extra or
+        # reordered draw here would shift every later report
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = list(_random_faces(got_rng, 300, keep_two=keep_two))
+        want = list(_parent_faces(want_rng, 300, keep_two))
+        assert len(got) == len(want) == 300
+        for (y, dirs, v), (y0, dirs0, v0) in zip(got, want):
+            assert y.tobytes() == y0.tobytes() and v.tobytes() == v0.tobytes()
+            assert dirs == dirs0 == feasible_direction_set(y, int(np.argmax(y)))
+            if keep_two:
+                assert np.count_nonzero(y) >= 2
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestSuite:

@@ -341,6 +341,10 @@ def make_problem(
 ) -> ProblemInstance:
     if not valid_dimension(name, n):
         raise ValueError(f"function {name!r} does not accept dimension n={n}")
+    # before the cloud cache, which would take m=10.0 for 10
+    for label, value, low in (("m", m, 1), ("seed", seed, 0), ("budget_factor", budget_factor, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{label} must be an integer >= {low}, got {value!r}")
     atoms, start = _cloud(n, m, seed)
     return ProblemInstance(
         function_name=name,

@@ -463,6 +463,25 @@ class TestMakeProblem:
         with pytest.raises(ValueError):
             make_problem("ext_beale", 9, 20, seed=0)
 
+    @pytest.mark.parametrize(
+        "m, seed, budget_factor",
+        [
+            (10.0, 0, 100), (True, 0, 100), (0, 0, 100), ("10", 0, 100),
+            (10, 1.5, 100), (10, True, 100), (10, -1, 100), (10, None, 100),
+            (10, 0, 2.5), (10, 0, True), (10, 0, 0), (10, 0, 100.0),
+        ],
+    )
+    def test_bad_count_rejected_before_the_cloud_cache(self, m, seed, budget_factor):
+        bench._cloud.cache_clear()
+        with pytest.raises(ValueError, match="must be an integer >="):
+            make_problem("power", 10, m, seed, budget_factor)
+        assert bench._cloud.cache_info().misses == 0
+
+    def test_numpy_integer_counts_accepted(self):
+        problem = make_problem("power", 10, np.int64(20), np.int64(0), np.int64(100))
+        assert problem.problem_id == make_problem("power", 10, 20, 0).problem_id
+        assert problem.budget == 1100
+
 
 class TestSharedClouds:
     def test_functions_share_one_atom_set(self):

@@ -154,6 +154,12 @@ class PropertyReport:
         return text
 
 
+def _verdict(name: str, trials: int, margins, tol: float = 0.0, detail: str = "") -> PropertyReport:
+    """The smallest per-trial margin is worst_margin, and the property passes when it is >= -tol."""
+    worst = min(margins)
+    return PropertyReport(name, trials, worst, bool(worst >= -tol), detail)
+
+
 def random_simplex_point(rng: np.random.Generator, m: int, n_zeros: int = 0) -> np.ndarray:
     """Uniform-ish simplex point with exactly n_zeros coordinates set to 0."""
     if not (0 <= n_zeros < m):
@@ -199,11 +205,11 @@ def check_cone_measure(
     cone (v_T = 0 while every feasible direction ascends); that degenerate
     face is exercised separately by check_cone_polarity.
     """
-    worst = np.inf
-    for y, dirs, v in _random_faces(rng, trials, keep_two=True):
-        rhs = float(np.linalg.norm(project(v, y))) / (2.0 * (len(y) - 1))
-        worst = min(worst, _best_ascent(v, dirs) - rhs)
-    return PropertyReport("cone-measure", trials, worst, worst >= -1e-10)
+    margins = (
+        _best_ascent(v, dirs) - float(np.linalg.norm(project(v, y))) / (2.0 * (len(y) - 1))
+        for y, dirs, v in _random_faces(rng, trials, keep_two=True)
+    )
+    return _verdict("cone-measure", trials, margins, tol=1e-10)
 
 
 def check_cone_polarity(
@@ -216,25 +222,20 @@ def check_cone_polarity(
     Sampled over all faces including exact vertices; complements
     check_cone_measure on the degenerate case.
     """
-    worst = np.inf
-    for y, dirs, v in _random_faces(rng, trials):
-        if np.linalg.norm(project(v, y)) > 1e-12:
-            continue
-        worst = min(worst, -_best_ascent(v, dirs))
-    worst = 0.0 if np.isinf(worst) else worst
-    return PropertyReport("cone-polarity", trials, worst, worst >= -1e-10)
+    faces = _random_faces(rng, trials)
+    margins = [-_best_ascent(v, dirs) for y, dirs, v in faces if np.linalg.norm(project(v, y)) <= 1e-12]
+    return _verdict("cone-polarity", trials, margins or [0.0], tol=1e-10)
 
 
 def check_generator_property(trials: int, rng: np.random.Generator) -> PropertyReport:
     """Every projected vector is a non-negative combination of the direction set."""
     from scipy.optimize import nnls
 
-    worst = -np.inf
+    margins = []
     for y, dirs, v in _random_faces(rng, trials):
         D = np.column_stack([direction_vector(s, i, j, len(y)) for s, i, j in dirs])
-        _, residual = nnls(D, tangent_cone_project(v, y))
-        worst = max(worst, residual)
-    return PropertyReport("cone-generators", trials, 1e-8 - worst, worst <= 1e-8)
+        margins.append(1e-8 - nnls(D, tangent_cone_project(v, y))[1])
+    return _verdict("cone-generators", trials, margins)
 
 
 def check_polar_decomposition(
@@ -247,14 +248,13 @@ def check_polar_decomposition(
     v_T in T(y) is sum(v_T) = 0 and v_T >= 0 where y is zero; without it a
     projector onto the hyperplane sum(u) = 0 would pass.
     """
-    worst = np.inf
+    margins = []
     for y, dirs, v in _random_faces(rng, trials):
         v_t = project(v, y)
         v_n = v - v_t
-        orth = abs(float(v_t @ v_n))
         cone = max(abs(float(v_t.sum())), float(np.max(-v_t[y <= ZERO_TOL], initial=0.0)))
-        worst = min(worst, 1e-10 - orth, 1e-10 - _best_ascent(v_n, dirs), 1e-10 - cone)
-    return PropertyReport("polar-decomposition", trials, worst, worst >= 0.0)
+        margins += [1e-10 - abs(float(v_t @ v_n)), 1e-10 - _best_ascent(v_n, dirs), 1e-10 - cone]
+    return _verdict("polar-decomposition", trials, margins)
 
 
 def check_kkt_upper_bound(
@@ -263,11 +263,11 @@ def check_kkt_upper_bound(
     gap: Callable[[np.ndarray, np.ndarray], float] = kkt_gap,
 ) -> PropertyReport:
     """kkt_gap(g, y) <= sqrt(2) * ||(-g)_T(y)|| on random points and gradients."""
-    worst = np.inf
-    for y, _, g in _random_faces(rng, trials):
-        bound = np.sqrt(2.0) * float(np.linalg.norm(tangent_cone_project(-g, y)))
-        worst = min(worst, bound - gap(g, y))
-    return PropertyReport("kkt-upper-bound", trials, worst, worst >= -1e-10)
+    margins = (
+        np.sqrt(2.0) * float(np.linalg.norm(tangent_cone_project(-g, y))) - gap(g, y)
+        for y, _, g in _random_faces(rng, trials)
+    )
+    return _verdict("kkt-upper-bound", trials, margins, tol=1e-10)
 
 
 def check_linesearch_oracle(trials: int, rng: np.random.Generator) -> PropertyReport:
@@ -293,13 +293,7 @@ def check_linesearch_oracle(trials: int, rng: np.random.Generator) -> PropertyRe
         ref_alpha, ref_sign = reference_line_search(phi, z, f_z, i, j, alpha_hat, gamma, delta)
         if out.alpha != ref_alpha or out.sign != ref_sign:
             mismatches += 1
-    return PropertyReport(
-        "linesearch-oracle",
-        trials,
-        0.0 if mismatches == 0 else -float(mismatches),
-        mismatches == 0,
-        detail=f"{mismatches} mismatches",
-    )
+    return _verdict("linesearch-oracle", trials, [float(-mismatches)], detail=f"{mismatches} mismatches")
 
 
 def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> PropertyReport:
@@ -310,7 +304,7 @@ def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> Prop
     """
     from .ord import poll_gradient
 
-    worst = -np.inf
+    margins = []
     for _ in range(trials):
         m = int(rng.integers(2, 11))
         c = rng.normal(size=m)
@@ -320,8 +314,8 @@ def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> Prop
         cfg = DfSimplexConfig(epsilon=1e-3)
         res = df_simplex_solve(phi, y0, cfg)
         d = poll_gradient(phi, res.y, res.f, cfg.epsilon) - c
-        worst = max(worst, float(np.max(np.abs(d - d.mean()))))
-    return PropertyReport("simplex-grad-affine", trials, 1e-8 - worst, worst <= 1e-8)
+        margins.append(1e-8 - float(np.max(np.abs(d - d.mean()))))
+    return _verdict("simplex-grad-affine", trials, margins)
 
 
 def check_stationarity_bound(
@@ -331,15 +325,15 @@ def check_stationarity_bound(
 ) -> PropertyReport:
     """Solver output satisfies kkt_gap <= 2*sqrt(2)*(m-1)*(2L+gamma)*epsilon."""
     cfg = DfSimplexConfig(epsilon=1e-4)
-    worst = np.inf
+    margins = []
     for _ in range(trials):
         m = int(rng.integers(3, 9))
         phi, grad, L = _random_quadratic(rng, m, scale=float(rng.uniform(0.5, 10.0)))
         y0 = random_simplex_point(rng, m, 0)
         res = df_simplex_solve(phi, y0, cfg)
         bound = 2.0 * np.sqrt(2.0) * (m - 1) * (2.0 * L + cfg.gamma) * cfg.epsilon
-        worst = min(worst, bound - gap(grad(res.y), res.y))
-    return PropertyReport("stationarity-bound", trials, worst, worst >= 0.0)
+        margins.append(bound - gap(grad(res.y), res.y))
+    return _verdict("stationarity-bound", trials, margins)
 
 
 SUITE_LEVELS = {

@@ -155,8 +155,10 @@ class PropertyReport:
 
 
 def _verdict(name: str, trials: int, margins, tol: float = 0.0, detail: str = "") -> PropertyReport:
-    """The smallest per-trial margin is worst_margin, and the property passes when it is >= -tol."""
-    worst = min(margins)
+    """The smallest per-trial margin is worst_margin, and the property passes when it is >= -tol.
+    A NaN margin, or no margin at all (nothing was tested), makes worst_margin NaN: a fail."""
+    margins = list(margins)
+    worst = min(margins) if margins and not np.isnan(margins).any() else np.nan
     return PropertyReport(name, trials, worst, bool(worst >= -tol), detail)
 
 
@@ -220,11 +222,13 @@ def check_cone_polarity(
     """Whenever v_T = 0 (v in the normal cone), no feasible direction ascends on v.
 
     Sampled over all faces including exact vertices; complements
-    check_cone_measure on the degenerate case.
+    check_cone_measure on the degenerate case. Only those draws test anything, so
+    the detail counts them, and a sample with none fails.
     """
     faces = _random_faces(rng, trials)
     margins = [-_best_ascent(v, dirs) for y, dirs, v in faces if np.linalg.norm(project(v, y)) <= 1e-12]
-    return _verdict("cone-polarity", trials, margins or [0.0], tol=1e-10)
+    detail = f"{len(margins)} of {trials} trials in the normal cone"
+    return _verdict("cone-polarity", trials, margins, tol=1e-10, detail=detail)
 
 
 def check_generator_property(trials: int, rng: np.random.Generator) -> PropertyReport:

@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 
 from atomdfo.analysis import (
     CapExceeded,
+    PropertyReport,
     _random_faces,
+    _verdict,
     check_cone_measure,
     check_cone_polarity,
     check_generator_property,
@@ -190,6 +192,48 @@ class TestNegativeControls:
         flipped = lambda g, y: -kkt_gap(g, y) + 2.0 * abs(kkt_gap(g, y)) + 1e3
         report = check_stationarity_bound(3, np.random.default_rng(7), gap=flipped)
         assert not report.passed
+
+    # a NaN compares false with everything, so a running min or max used to skip it
+    # and these passed with worst_margin=+inf
+    @pytest.mark.parametrize("check", [check_cone_measure, check_polar_decomposition])
+    def test_nan_projector_fails_measure_and_polar_suites(self, check):
+        report = check(100, np.random.default_rng(0), project=lambda v, y: np.full_like(v, np.nan))
+        assert not report.passed and np.isnan(report.worst_margin), report.line()
+
+    @pytest.mark.parametrize("check, trials", [(check_kkt_upper_bound, 100), (check_stationarity_bound, 3)])
+    def test_nan_gap_fails_kkt_and_stationarity_suites(self, check, trials):
+        report = check(trials, np.random.default_rng(0), gap=lambda g, y: float("nan"))
+        assert not report.passed and np.isnan(report.worst_margin), report.line()
+
+    def test_nan_poll_gradient_fails_affine_suite(self, monkeypatch):
+        monkeypatch.setattr("atomdfo.ord.poll_gradient", lambda phi, y, f, eps: np.full(len(y), np.nan))
+        report = check_simplex_gradient_affine(5, np.random.default_rng(0))
+        assert not report.passed and np.isnan(report.worst_margin), report.line()
+
+    def test_identity_projector_tests_no_polarity_trial_and_fails(self):
+        # v_T = v is never 0, so no draw lands in the normal cone and nothing is tested
+        report = check_cone_polarity(200, np.random.default_rng(0), project=lambda v, y: v)
+        assert not report.passed and report.detail.startswith("0 of 200"), report.line()
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("margins", [[np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan]])
+    def test_a_nan_anywhere_fails(self, margins):
+        report = _verdict("p", 3, iter(margins), tol=1e-10)
+        assert not report.passed and np.isnan(report.worst_margin)
+
+    def test_an_empty_sample_fails(self):
+        report = _verdict("p", 10, iter([]), tol=1e-10)
+        assert not report.passed and np.isnan(report.worst_margin)
+
+    def test_the_smallest_margin_decides_within_tol(self):
+        assert _verdict("p", 3, [1.0, -1e-11, 0.5], tol=1e-10) == PropertyReport("p", 3, -1e-11, True)
+        assert not _verdict("p", 3, [1.0, -1e-9, 0.5], tol=1e-10).passed
+        assert not _verdict("p", 1, [-1e-300]).passed
+
+    def test_cone_polarity_reports_its_tested_count(self):
+        report = check_cone_polarity(100, np.random.default_rng(0))
+        assert report.passed and report.detail == "5 of 100 trials in the normal cone"
 
 
 def _parent_faces(rng, trials, keep_two):

@@ -24,7 +24,6 @@ from . import bench, profiles
 from .core import (
     BudgetedObjective,
     DfSimplexConfig,
-    DropRule,
     OrdConfig,
     ZERO_TOL,
     weights_point,
@@ -58,8 +57,6 @@ def _ord_config(options: Dict) -> OrdConfig:
     if "rng_seed" in opts:
         raise ValueError("ord.rng_seed is not an option: each run uses its manifest seed")
     inner = DfSimplexConfig(**opts.pop("inner", {}))
-    if "drop_rule" in opts:
-        opts["drop_rule"] = DropRule(opts["drop_rule"])
     return OrdConfig(inner=inner, **opts)
 
 

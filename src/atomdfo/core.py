@@ -215,7 +215,8 @@ class OrdConfig:
     The inner-solver tolerance follows eps_k = max(inner.epsilon, eps0 *
     eps_decay**k), floored at ``inner.epsilon``. gamma and theta are
     independent of the inner solver's. The default drop rule filters
-    zero-weight atoms through a simplex-gradient sign test.
+    zero-weight atoms through a simplex-gradient sign test; drop_rule takes a
+    DropRule member or its value string, and stores the member.
     """
 
     # A slow decay beats aggressive tightening under tight budgets: early
@@ -235,6 +236,10 @@ class OrdConfig:
         _require_between(self, math.inf, "eps0", "gamma", "stop_factor")
         if self.inner.epsilon > self.eps0:
             raise ValueError("inner.epsilon cannot exceed eps0")
+        object.__setattr__(self, "drop_rule", DropRule(self.drop_rule))
+        integral = isinstance(self.rng_seed, numbers.Integral) and not isinstance(self.rng_seed, bool)
+        if self.rng_seed is not None and not (integral and self.rng_seed >= 0):
+            raise ValueError(f"rng_seed must be None or an integer >= 0, got {self.rng_seed!r}")
 
     def eps_at(self, k: int) -> float:
         return max(self.inner.epsilon, self.eps0 * self.eps_decay**k)

@@ -477,6 +477,7 @@ class TestSuiteConfig:
             {"dfsimplex": {"epsilon": float("nan"), "gamma": float("nan")}},
             {"ord": {"eps0": float("nan"), "stop_factor": float("nan")}},
             {"ord": {"inner": {"alpha0": float("inf")}}},
+            {"ord": {"drop_rule": "bogus"}},
             {"dfsimplex": {"gamma": float("-inf")}},
         ],
     )

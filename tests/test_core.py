@@ -364,11 +364,26 @@ class TestConfigs:
             {"gamma": math.inf},
             {"stop_factor": math.inf},
             {"stop_factor": -math.inf},
+            {"drop_rule": "bogus"},
+            {"rng_seed": 1.5},
+            {"rng_seed": -1},
+            {"rng_seed": True},
+            {"rng_seed": "3"},
         ],
     )
     def test_ord_config_ranges(self, kwargs):
         with pytest.raises(ValueError):
             OrdConfig(**kwargs)
+
+    @pytest.mark.parametrize("rule", list(DropRule))
+    def test_drop_rule_value_string_is_its_member(self, rule):
+        # ord_solve tests the rule by identity, so a kept string would run the zero-weight rule
+        assert OrdConfig(drop_rule=rule.value).drop_rule is rule
+        assert OrdConfig(drop_rule=rule).drop_rule is rule
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(3)])
+    def test_ord_config_seeds(self, seed):
+        assert OrdConfig(rng_seed=seed).rng_seed == seed
 
     def test_eps_schedule_decreasing_to_floor(self):
         cfg = OrdConfig(eps0=0.1, eps_decay=0.5, inner=DfSimplexConfig(epsilon=1e-3))

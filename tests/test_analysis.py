@@ -193,8 +193,8 @@ class TestNegativeControls:
         report = check_stationarity_bound(3, np.random.default_rng(7), gap=flipped)
         assert not report.passed
 
-    # a NaN compares false with everything, so a running min or max used to skip it
-    # and these passed with worst_margin=+inf
+    # a NaN compares false with everything, so a running min or max would skip it
+    # and report worst_margin=+inf; each NaN case must fail its check instead
     @pytest.mark.parametrize("check", [check_cone_measure, check_polar_decomposition])
     def test_nan_projector_fails_measure_and_polar_suites(self, check):
         report = check(100, np.random.default_rng(0), project=lambda v, y: np.full_like(v, np.nan))

@@ -5,7 +5,6 @@ from .core import (
     BudgetedObjective,
     BudgetExhausted,
     DfSimplexConfig,
-    DropRule,
     NonFiniteValue,
     OrdConfig,
     SimplexWeights,
@@ -19,7 +18,6 @@ __all__ = [
     "BudgetExhausted",
     "DfSimplexConfig",
     "DfSimplexState",
-    "DropRule",
     "LineSearchOutcome",
     "NonFiniteValue",
     "OrdConfig",

@@ -291,8 +291,8 @@ def l1_ball_atoms(n: int, radius: float) -> AtomSet:
 
 def random_vertex_start(m: int, seed=None) -> int:
     """Uniformly random atom id, deterministic under the seed."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     return int(np.random.default_rng(seed).integers(0, m))
 
 

@@ -13,7 +13,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,7 +27,6 @@ from .core import (
     ZERO_TOL,
     weights_point,
 )
-from .analysis import run_property_suite
 from .dfsimplex import df_simplex_solve
 from .ord import ord_solve
 
@@ -189,6 +187,9 @@ def _outcomes(tasks, workers: int):
     written, not of every run.
     """
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which --jobs 1 never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_run_task, tasks)
     else:
@@ -321,6 +322,9 @@ def cmd_profile(trace_dir, out_dir, taus: Sequence[float]) -> int:
 def cmd_verify(level: str, seed: int) -> int:
     if seed < 0:
         raise UsageError(f"--seed must be at least 0, got {seed}")
+    # imported here: only verify needs the property suites
+    from .analysis import run_property_suite
+
     reports = run_property_suite(level=level, seed=seed)
     for report in reports:
         print(report.line())

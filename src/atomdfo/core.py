@@ -6,7 +6,6 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 SUM_TOL = 1e-12
 NEG_CLAMP = -1e-15
 
-# Weights at or below this threshold count as zero everywhere (drop rules,
+# Weights at or below this threshold count as zero everywhere (the drop rule,
 # active-zero sets, sparsity measurements).
 ZERO_TOL = 1e-12
 
@@ -203,20 +202,13 @@ class DfSimplexConfig:
         _require_between(self, math.inf, "gamma", "alpha0", "epsilon")
 
 
-class DropRule(Enum):
-    ZERO_WEIGHT = "zero_weight"
-    GRADIENT_FILTERED = "gradient_filtered"
-
-
 @dataclass(frozen=True)
 class OrdConfig:
     """Parameters of the outer optimize/refine/drop loop.
 
     The inner-solver tolerance follows eps_k = max(inner.epsilon, eps0 *
     eps_decay**k), floored at ``inner.epsilon``. gamma and theta are
-    independent of the inner solver's. The default drop rule filters
-    zero-weight atoms through a simplex-gradient sign test; drop_rule takes a
-    DropRule member or its value string, and stores the member.
+    independent of the inner solver's.
     """
 
     # A slow decay beats aggressive tightening under tight budgets: early
@@ -226,7 +218,6 @@ class OrdConfig:
     mu0: float = 0.5
     gamma: float = 1e-6
     theta: float = 0.5
-    drop_rule: DropRule = DropRule.GRADIENT_FILTERED
     stop_factor: float = 1e-4
     rng_seed: Optional[int] = None
     inner: DfSimplexConfig = field(default_factory=DfSimplexConfig)
@@ -236,7 +227,6 @@ class OrdConfig:
         _require_between(self, math.inf, "eps0", "gamma", "stop_factor")
         if self.inner.epsilon > self.eps0:
             raise ValueError("inner.epsilon cannot exceed eps0")
-        object.__setattr__(self, "drop_rule", DropRule(self.drop_rule))
         integral = isinstance(self.rng_seed, numbers.Integral) and not isinstance(self.rng_seed, bool)
         if self.rng_seed is not None and not (integral and self.rng_seed >= 0):
             raise ValueError(f"rng_seed must be None or an integer >= 0, got {self.rng_seed!r}")

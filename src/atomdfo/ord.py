@@ -3,10 +3,11 @@
 Each outer iteration approximately minimizes over the hull of the current
 atom subset (barycentric direct search), then tries to add one atom that
 yields sufficient decrease along the segment toward it, then removes
-zero-weight atoms, optionally filtered by a sample-based gradient sign test.
+zero-weight atoms that a sample-based gradient sign test does not keep.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Set, Tuple
@@ -17,7 +18,6 @@ from .core import (
     AtomSet,
     BudgetedObjective,
     BudgetExhausted,
-    DropRule,
     OrdConfig,
     SimplexWeights,
     ZERO_TOL,
@@ -262,17 +262,19 @@ def ord_solve(
 
     Every evaluated point lies in conv(atoms), up to rounding: the inner
     solves probe the active subset's hull, refine probes a segment toward an
-    atom, and the gradient-filtered drop rule refits the inner solve's final
-    poll. That rule fits its gradient only on iterations where an active atom
-    has zero weight, since otherwise it drops nothing whatever the gradient is.
+    atom, and the drop rule refits the inner solve's final poll. It fits that
+    gradient only on iterations where an active atom has zero weight, since
+    otherwise it drops nothing whatever the gradient is, and it drops by
+    weight alone when the fit raises PoisednessFailure.
 
     Evaluations are counted by one BudgetedObjective: ``f`` itself when it is
     one, else a budgetless wrapper around it. Either way a NaN/inf value raises
     NonFiniteValue, and ``evals`` reports the objective's ``eval_count``,
     which includes any evaluations it made before this call.
     """
-    if not (0 <= start_atom_id < atoms.m):
-        raise ValueError(f"start atom id {start_atom_id} out of range [0, {atoms.m})")
+    integral = isinstance(start_atom_id, numbers.Integral) and not isinstance(start_atom_id, bool)
+    if not (integral and 0 <= start_atom_id < atoms.m):
+        raise ValueError(f"start atom id must be an integer in [0, {atoms.m}), got {start_atom_id!r}")
     rng = np.random.default_rng(cfg.rng_seed)
     objective = f if isinstance(f, BudgetedObjective) else BudgetedObjective(f)
 
@@ -313,7 +315,7 @@ def ord_solve(
 
         gradient = None  # None drops by the plain zero-weight rule
         # with no zero weight nothing is droppable whatever g is, so skip the fit
-        if cfg.drop_rule is DropRule.GRADIENT_FILTERED and (y_bar <= ZERO_TOL).any():
+        if (y_bar <= ZERO_TOL).any():
             try:
                 gradient = poll_gradient(objective, y_bar, f_bar, eps_k)
             except PoisednessFailure:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside pytest's own verdicts. The benchmark-backed criteria share
 one module-scoped pair of `atomdfo run` suites so the whole module stays fast.
 """
+import contextlib
 import csv
 import json
 import os
@@ -18,7 +19,7 @@ from atomdfo.analysis import (
     check_simplex_gradient_affine,
     kkt_gap,
 )
-from atomdfo.core import AtomSet, DfSimplexConfig, DropRule, OrdConfig
+from atomdfo.core import AtomSet, DfSimplexConfig, OrdConfig
 from atomdfo.dfsimplex import df_simplex_solve
 from atomdfo.ord import ord_solve
 
@@ -144,7 +145,7 @@ def test_criterion_5_simplex_gradient_exactness():
     )
 
 
-def test_criterion_6_identification():
+def test_criterion_6_identification(zero_weight_drop):
     violations = 0
     entered_all = True
     for trial in range(20):
@@ -161,10 +162,11 @@ def test_criterion_6_identification():
             for i in range(atoms.m)
             if grad_star @ (atoms.atoms[i] - x_star) > 1e-3 * scale
         }
-        for rule in (DropRule.ZERO_WEIGHT, DropRule.GRADIENT_FILTERED):
-            cfg = OrdConfig(rng_seed=trial, drop_rule=rule)
+        # ORD's zero-weight fallback, then its gradient-filtered rule
+        for rule in (zero_weight_drop, contextlib.nullcontext):
             records = []
-            ord_solve(f, atoms, cfg, start_atom_id=0, sink=records.append)
+            with rule():
+                ord_solve(f, atoms, OrdConfig(rng_seed=trial), start_atom_id=0, sink=records.append)
             near = (rec.k for rec in records if np.linalg.norm(rec.x_bar - x_star) <= 1e-2)
             entered = next(near, None)
             if entered is None:

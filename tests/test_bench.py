@@ -436,6 +436,14 @@ class TestRandomVertexStart:
         with pytest.raises(ValueError):
             random_vertex_start(0)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "3"])
+    def test_m_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="integer"):
+            random_vertex_start(m, seed=0)
+
+    def test_numpy_integer_m(self):
+        assert random_vertex_start(np.int64(3), seed=5) == random_vertex_start(3, seed=5)
+
     def test_deterministic(self):
         assert random_vertex_start(50, seed=5) == random_vertex_start(50, seed=5)
 

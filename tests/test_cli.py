@@ -1,10 +1,15 @@
+import concurrent.futures
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import atomdfo.analysis
 from atomdfo import bench, cli
 from atomdfo.analysis import PropertyReport
 from atomdfo.core import BudgetedObjective
@@ -80,7 +85,7 @@ class TestRun:
         tweaked = write_manifest(
             tmp_path / "b.json",
             functions=["power"],
-            ord={"drop_rule": "zero_weight", "mu0": 0.9, "inner": {"delta": 0.3, "epsilon": 1e-3}},
+            ord={"mu0": 0.9, "inner": {"delta": 0.3, "epsilon": 1e-3}},
         )
         out_a, out_b = tmp_path / "oa", tmp_path / "ob"
         assert cli.main(["run", "--config", str(base), "--out", str(out_a)]) == 0
@@ -132,7 +137,7 @@ class TestRun:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         manifest = write_manifest(tmp_path / "suite.json")  # 2 functions x 1 seed
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(manifest), "--out", str(out), "--jobs", "8"]) == 0
@@ -479,6 +484,8 @@ class TestSuiteConfig:
             {"ord": {"inner": {"alpha0": float("inf")}}},
             {"ord": {"drop_rule": "bogus"}},
             {"dfsimplex": {"gamma": float("-inf")}},
+            # ORD has one drop rule, so the key that named one is unknown
+            {"ord": {"drop_rule": "zero_weight"}},
         ],
     )
     def test_invalid_manifest_fields(self, tmp_path, overrides):
@@ -561,6 +568,16 @@ class TestEndToEnd:
             assert 0.0 <= curve[-1] <= 1.0
 
 
+def test_import_leaves_out_the_pool_and_the_property_suites():
+    # `run --jobs 1` and `profile` start no worker and verify no property,
+    # so a fresh interpreter that imports the CLI loads neither
+    src = str(Path(cli.__file__).resolve().parents[1])
+    lazy = ["atomdfo.analysis", "concurrent.futures.process", "multiprocessing"]
+    code = f"import sys; sys.path.insert(0, {src!r}); import atomdfo.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestVerify:
     def test_quick_level_passes_and_reports_properties(self, capsys):
         assert cli.main(["verify", "--level", "quick", "--seed", "0"]) == 0
@@ -570,12 +587,12 @@ class TestVerify:
         assert all("PASS" in ln for ln in lines)
 
     def test_negative_seed_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_property_suite", lambda level, seed: 1 / 0)
+        monkeypatch.setattr(atomdfo.analysis, "run_property_suite", lambda level, seed: 1 / 0)
         assert cli.main(["verify", "--seed", "-1"]) == 2
         assert "--seed must be at least 0" in capsys.readouterr().err
 
     def test_injected_failure_flips_exit_code(self, monkeypatch, capsys):
         broken = [PropertyReport("cone-measure", 10, -1.0, False)]
-        monkeypatch.setattr(cli, "run_property_suite", lambda level, seed: broken)
+        monkeypatch.setattr(atomdfo.analysis, "run_property_suite", lambda level, seed: broken)
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out

@@ -10,7 +10,6 @@ from atomdfo.core import (
     BudgetedObjective,
     BudgetExhausted,
     DfSimplexConfig,
-    DropRule,
     NEG_CLAMP,
     NonFiniteValue,
     OrdConfig,
@@ -364,7 +363,7 @@ class TestConfigs:
             {"gamma": math.inf},
             {"stop_factor": math.inf},
             {"stop_factor": -math.inf},
-            {"drop_rule": "bogus"},
+            {"theta": 1.0},
             {"rng_seed": 1.5},
             {"rng_seed": -1},
             {"rng_seed": True},
@@ -375,11 +374,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             OrdConfig(**kwargs)
 
-    @pytest.mark.parametrize("rule", list(DropRule))
-    def test_drop_rule_value_string_is_its_member(self, rule):
-        # ord_solve tests the rule by identity, so a kept string would run the zero-weight rule
-        assert OrdConfig(drop_rule=rule.value).drop_rule is rule
-        assert OrdConfig(drop_rule=rule).drop_rule is rule
+    @pytest.mark.parametrize("rule", ["bogus", "zero_weight", "gradient_filtered"])
+    def test_drop_rule_is_not_an_option(self, rule):
+        # ORD has one drop rule, so naming one is a mistake, not a choice
+        with pytest.raises(TypeError):
+            OrdConfig(drop_rule=rule)
 
     @pytest.mark.parametrize("seed", [None, 0, 7, np.int64(3)])
     def test_ord_config_seeds(self, seed):
@@ -401,8 +400,6 @@ class TestConfigs:
         assert (outer.eps0, outer.eps_decay, outer.inner.epsilon) == (0.1, 0.85, 1e-4)
         assert (outer.mu0, outer.gamma, outer.theta) == (0.5, 1e-6, 0.5)
         assert outer.stop_factor == 1e-4
-        assert outer.drop_rule is DropRule.GRADIENT_FILTERED
         assert [f.name for f in fields(outer)] == [
-            "eps0", "eps_decay", "mu0", "gamma", "theta",
-            "drop_rule", "stop_factor", "rng_seed", "inner",
+            "eps0", "eps_decay", "mu0", "gamma", "theta", "stop_factor", "rng_seed", "inner",
         ]

@@ -12,7 +12,6 @@ from atomdfo.core import (
     BudgetExhausted,
     BudgetedObjective,
     DfSimplexConfig,
-    DropRule,
     NonFiniteValue,
     OrdConfig,
     ZERO_TOL,
@@ -675,19 +674,22 @@ class TestOrdSolve:
         assert fits and fits[-1] < objective.eval_count
 
     def test_poisedness_failure_falls_back_to_the_zero_weight_rule(self, monkeypatch):
-        # the gradient filter keeps atoms on this run, so the plain rule's run
-        # differs from it; a fit that always fails must replay the plain rule's
+        # the gradient filter keeps atoms on this run, so a fit that always
+        # fails must drop every zero-weight atom instead, and change the run
         atoms = generate_uniform_atoms(4, 40, seed=1)
         func = make_test_function("fletchcr", 4)
 
-        def run(rule):
+        def run():
             obj = BudgetedObjective(func.value, budget=500)
-            res = ord_solve(obj, atoms, OrdConfig(rng_seed=0, drop_rule=rule), 0)
-            return obj.values.tobytes(), res.weights.w.tobytes(), res.weights.ids, res.stop
+            records = []
+            res = ord_solve(obj, atoms, OrdConfig(rng_seed=0), 0, sink=records.append)
+            return (obj.values.tobytes(), res.weights.w.tobytes(), res.weights.ids, res.stop), records
 
-        filtered = run(DropRule.GRADIENT_FILTERED)
-        zero_weight = run(DropRule.ZERO_WEIGHT)
-        assert filtered != zero_weight
+        def zeros(rec):
+            return int((rec.y_bar <= ZERO_TOL).sum())
+
+        fitted, fitted_records = run()
+        assert any(rec.dropped < zeros(rec) for rec in fitted_records)
         fallbacks = []
 
         def failing(points, values, y_bar, f_bar):
@@ -695,8 +697,10 @@ class TestOrdSolve:
             raise PoisednessFailure("forced")
 
         monkeypatch.setattr(atomdfo.ord, "simplex_gradient", failing)
-        assert run(DropRule.GRADIENT_FILTERED) == zero_weight
+        forced, records = run()
         assert fallbacks
+        assert [rec.dropped for rec in records] == [zeros(rec) for rec in records]
+        assert forced != fitted
 
     def test_large_offset_runs_end_without_a_budget_stop(self):
         # against |f| = 1e12 the margins gamma*alpha**2 and gamma*mu_hat**2
@@ -731,6 +735,21 @@ class TestOrdSolve:
         with pytest.raises(ValueError):
             ord_solve(lambda x: 0.0, atoms, OrdConfig(), start_atom_id=5)
 
+    @pytest.mark.parametrize(
+        "start", [True, False, 1.0, 1.5, np.float64(1.0), "1"],
+        ids=["True", "False", "float", "fraction", "float64", "str"],
+    )
+    def test_start_id_must_be_an_integer(self, start):
+        # True and False compare in range, but index the atom stack as a mask
+        atoms = AtomSet(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="integer"):
+            ord_solve(lambda x: 0.0, atoms, OrdConfig(), start_atom_id=start)
+
+    def test_numpy_integer_start_id_runs(self):
+        atoms = AtomSet(np.array([[0.0], [1.0]]))
+        res = ord_solve(lambda x: float(x[0]), atoms, OrdConfig(rng_seed=0), start_atom_id=np.int64(1))
+        assert res.x[0] <= 1e-8
+
 
 def test_l1_ball_recovers_sparse_signal():
     # minimizing |x - t|^2 over an l1 ball with t on a scaled axis: the
@@ -750,8 +769,8 @@ def test_l1_ball_recovers_sparse_signal():
     assert by_weight[7] >= 0.7
 
 
-@pytest.mark.parametrize("rule", [DropRule.ZERO_WEIGHT, DropRule.GRADIENT_FILTERED])
-def test_identification_on_face_minimizer(rule):
+@pytest.mark.usefixtures("drop_rule")
+def test_identification_on_face_minimizer():
     # The target sits below a triangular bottom face, so the hull minimizer
     # lies on that face with gradient (0, 0, 2): every atom strictly above
     # has a positive gap and must leave the working set for good.
@@ -773,7 +792,7 @@ def test_identification_on_face_minimizer(rule):
             if grad_star @ (atoms.atoms[i] - x_star) > 1e-3 * scale
         }
         assert margin_atoms == {3, 4, 5, 6, 7}
-        cfg = OrdConfig(rng_seed=trial, drop_rule=rule)
+        cfg = OrdConfig(rng_seed=trial)
         records = []
         # start on an upper atom
         res = ord_solve(f, atoms, cfg, start_atom_id=3, sink=records.append)
@@ -795,8 +814,8 @@ def _identification_case(seed):
     return atoms, g, best
 
 
-@pytest.mark.parametrize("rule", [DropRule.ZERO_WEIGHT, DropRule.GRADIENT_FILTERED])
-def test_identification_on_linear_objective(rule):
+@pytest.mark.usefixtures("drop_rule")
+def test_identification_on_linear_objective():
     # Linear objectives give active-set identification teeth: the minimizer
     # is the best vertex and every other atom has a strictly positive gap, so
     # all of them must leave the working set once the iterates are close.
@@ -810,7 +829,7 @@ def test_identification_on_linear_objective(rule):
             if g @ (atoms.atoms[i] - x_star) > 1e-3 * scale
         }
         f = lambda x: float(g @ x)
-        cfg = OrdConfig(rng_seed=seed, drop_rule=rule)
+        cfg = OrdConfig(rng_seed=seed)
         records = []
         start = (best + 1) % atoms.m
         res = ord_solve(f, atoms, cfg, start_atom_id=start, sink=records.append)

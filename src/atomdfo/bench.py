@@ -11,13 +11,12 @@ reference values and the tests, which check it against central finite difference
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .core import AtomSet
+from .core import AtomSet, require_integer
 
 
 @dataclass(frozen=True)
@@ -232,11 +231,9 @@ _COMPLEX_STEP = 1e-100
 
 
 def valid_dimension(name: str, n: int) -> bool:
-    # a float n would pass the checks below and build a function failing every call
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
+    require_integer("n", n, 1)
     if name not in _CATALOG:
-        return False
+        raise ValueError(f"unknown function {name!r}")
     _, even, min_n = _CATALOG[name]
     return n >= min_n and (not even or n % 2 == 0)
 
@@ -272,14 +269,13 @@ def make_test_function(name: str, n: int) -> BenchFunction:
 
 def generate_uniform_atoms(n: int, m: int, seed=None) -> AtomSet:
     """m i.i.d. uniform atoms in [0, 10]^n, deterministic under the seed."""
-    if n < 1 or m < 1:
-        raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    rng = np.random.default_rng(seed)
-    return AtomSet(rng.uniform(0.0, 10.0, size=(m, n)))
+    size = (require_integer("m", m, 1), require_integer("n", n, 1))
+    return AtomSet(np.random.default_rng(seed).uniform(0.0, 10.0, size=size))
 
 
 def l1_ball_atoms(n: int, radius: float) -> AtomSet:
     """The 2n signed scaled basis vectors; their hull is the l1 ball of that radius."""
+    n = require_integer("n", n, 1)
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     atoms = np.zeros((2 * n, n))
@@ -291,9 +287,7 @@ def l1_ball_atoms(n: int, radius: float) -> AtomSet:
 
 def random_vertex_start(m: int, seed=None) -> int:
     """Uniformly random atom id, deterministic under the seed."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    return int(np.random.default_rng(seed).integers(0, m))
+    return int(np.random.default_rng(seed).integers(0, require_integer("m", m, 1)))
 
 
 def problem_id(name: str, n: int, m: int, seed: int) -> str:
@@ -343,8 +337,7 @@ def make_problem(
         raise ValueError(f"function {name!r} does not accept dimension n={n}")
     # before the cloud cache, which would take m=10.0 for 10
     for label, value, low in (("m", m, 1), ("seed", seed, 0), ("budget_factor", budget_factor, 1)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{label} must be an integer >= {low}, got {value!r}")
+        require_integer(label, value, low)
     atoms, start = _cloud(n, m, seed)
     return ProblemInstance(
         function_name=name,

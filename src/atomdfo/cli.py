@@ -25,6 +25,7 @@ from .core import (
     DfSimplexConfig,
     OrdConfig,
     ZERO_TOL,
+    require_integer,
     weights_point,
 )
 from .dfsimplex import df_simplex_solve
@@ -72,8 +73,7 @@ class SuiteConfig:
     """A benchmark suite: (n, m) grid x functions x seeds x solvers.
 
     The field names are the manifest's keys and the field defaults its only
-    defaults. Every list names each entry once, and the integers are JSON
-    integers (``type(v) is int``, so neither ``true`` nor ``1.0``).
+    defaults. Every list names each entry once; its integers follow ``require_integer``.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
@@ -85,23 +85,25 @@ class SuiteConfig:
     dfsimplex: DfSimplexConfig = field(default_factory=DfSimplexConfig)
 
     def __post_init__(self):
-        for pair in self.pairs:
-            if len(pair) != 2 or not all(type(v) is int and v >= 1 for v in pair):
-                raise UsageError(f"invalid pair {list(pair)}: n and m must be integers >= 1")
-        for seed in self.seeds:
-            if type(seed) is not int or seed < 0:
-                raise UsageError(f"invalid seed {seed!r}: seeds must be integers >= 0")
-        if type(self.budget_factor) is not int or self.budget_factor < 1:
-            raise UsageError(f"budget_factor must be an integer >= 1, got {self.budget_factor!r}")
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
         if unknown:
             raise UsageError(f"unknown solver(s) {unknown}; known: {SOLVER_NAMES}")
-        for name in self.functions:
-            if name not in bench.FUNCTION_NAMES:
-                raise UsageError(f"unknown function {name!r}")
-            for n, _ in self.pairs:
-                if not bench.valid_dimension(name, n):
-                    raise UsageError(f"function {name!r} does not accept n={n}")
+        # require_integer and valid_dimension (unknown names too) raise ValueError
+        try:
+            for pair in self.pairs:
+                if len(pair) != 2:
+                    raise ValueError(f"invalid pair {list(pair)}: a pair is [n, m]")
+                for label, v in zip(("n", "m"), pair):
+                    require_integer(f"{label} of pair {list(pair)}", v, 1)
+            for seed in self.seeds:
+                require_integer("seed", seed)
+            require_integer("budget_factor", self.budget_factor, 1)
+            for name in self.functions:
+                for n, _ in self.pairs:
+                    if not bench.valid_dimension(name, n):
+                        raise ValueError(f"function {name!r} does not accept n={n}")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         # every entry is hashable once the checks above have passed
         for key in ("pairs", "functions", "seeds", "solvers"):
             values = getattr(self, key)

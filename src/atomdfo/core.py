@@ -21,6 +21,18 @@ NEG_CLAMP = -1e-15
 ZERO_TOL = 1e-12
 
 
+def require_integer(label: str, value, low=0, high=math.inf) -> int:
+    """``value`` as an int if it is an integer in [low, high), else ValueError.
+
+    The library's one rule for a count, id or seed a caller passes: a numpy
+    integer passes; a bool or a float (even 2.0) is refused, not truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+        raise ValueError(f"{label} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 class BudgetExhausted(Exception):
     """An evaluation was requested beyond the objective's budget."""
 
@@ -60,10 +72,12 @@ class AtomSet:
 
     def subset(self, ids: Sequence[int]) -> np.ndarray:
         """Matrix of the atoms with the given ids, one per row, in id-list order."""
-        idx = np.asarray(list(ids), dtype=int)
+        idx = np.asarray(list(ids))
+        if idx.size and idx.dtype.kind not in "iu":  # no per-id loop: ORD calls this each iteration
+            raise ValueError(f"atom ids must be integers, got {idx.tolist()!r}")
         if idx.size and (idx.min() < 0 or idx.max() >= self.m):
             raise IndexError(f"atom id out of range [0, {self.m})")
-        return self.atoms[idx]
+        return self.atoms[idx.astype(int, copy=False)]
 
     def __len__(self) -> int:
         return self.m
@@ -78,7 +92,7 @@ class SimplexWeights:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float).copy()
-        ids = tuple(int(i) for i in self.ids)
+        ids = tuple(require_integer("atom id", i) for i in self.ids)
         if w.ndim != 1 or len(w) != len(ids):
             raise ValueError(f"weights of length {len(w)} cannot pair with {len(ids)} ids")
         if len(set(ids)) != len(ids):
@@ -144,15 +158,8 @@ class BudgetedObjective:
     """
 
     def __init__(self, func: Callable[[np.ndarray], float], budget: Optional[int] = None):
-        if budget is not None:
-            # a float budget (NaN, 2.5) would never or wrongly stop; bool is Integral
-            if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
-                raise ValueError(f"budget must be an integer, got {budget!r}")
-            if budget < 1:
-                raise ValueError(f"budget must be positive, got {budget}")
-            budget = int(budget)
         self.func = func
-        self.budget = budget
+        self.budget = None if budget is None else require_integer("budget", budget, 1)
         self.values = array("d")
 
     @property
@@ -227,9 +234,8 @@ class OrdConfig:
         _require_between(self, math.inf, "eps0", "gamma", "stop_factor")
         if self.inner.epsilon > self.eps0:
             raise ValueError("inner.epsilon cannot exceed eps0")
-        integral = isinstance(self.rng_seed, numbers.Integral) and not isinstance(self.rng_seed, bool)
-        if self.rng_seed is not None and not (integral and self.rng_seed >= 0):
-            raise ValueError(f"rng_seed must be None or an integer >= 0, got {self.rng_seed!r}")
+        if self.rng_seed is not None:
+            require_integer("rng_seed", self.rng_seed)
 
     def eps_at(self, k: int) -> float:
         return max(self.inner.epsilon, self.eps0 * self.eps_decay**k)

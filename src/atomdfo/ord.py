@@ -7,7 +7,6 @@ zero-weight atoms that a sample-based gradient sign test does not keep.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Set, Tuple
@@ -21,6 +20,7 @@ from .core import (
     OrdConfig,
     SimplexWeights,
     ZERO_TOL,
+    require_integer,
     weights_point,
 )
 from .dfsimplex import StopReason as InnerStop
@@ -272,13 +272,11 @@ def ord_solve(
     NonFiniteValue, and ``evals`` reports the objective's ``eval_count``,
     which includes any evaluations it made before this call.
     """
-    integral = isinstance(start_atom_id, numbers.Integral) and not isinstance(start_atom_id, bool)
-    if not (integral and 0 <= start_atom_id < atoms.m):
-        raise ValueError(f"start atom id must be an integer in [0, {atoms.m}), got {start_atom_id!r}")
+    start_atom_id = require_integer("start atom id", start_atom_id, 0, atoms.m)
     rng = np.random.default_rng(cfg.rng_seed)
     objective = f if isinstance(f, BudgetedObjective) else BudgetedObjective(f)
 
-    active: List[int] = [int(start_atom_id)]
+    active: List[int] = [start_atom_id]
     y = np.array([1.0])
     # f_x is the objective's value at x_f, the point it was evaluated at
     x_f = atoms.atoms[start_atom_id].copy()

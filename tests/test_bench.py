@@ -408,6 +408,16 @@ class TestUniformAtoms:
         with pytest.raises(ValueError):
             generate_uniform_atoms(2, 0)
 
+    @pytest.mark.parametrize("n, m", [(2.5, 3), (2, True), (2.0, 3), (2, "3")])
+    def test_counts_must_be_integers(self, n, m):
+        # numpy raised TypeError on 2.5 and True
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            generate_uniform_atoms(n, m, seed=0)
+
+    def test_numpy_integer_counts(self):
+        a = generate_uniform_atoms(np.int64(2), np.uint8(3), seed=7)
+        assert np.array_equal(a.atoms, generate_uniform_atoms(2, 3, seed=7).atoms)
+
 
 class TestL1BallAtoms:
     def test_one_dimensional(self):
@@ -426,6 +436,14 @@ class TestL1BallAtoms:
     def test_radius_validated(self):
         with pytest.raises(ValueError):
             l1_ball_atoms(2, 0.0)
+
+    @pytest.mark.parametrize("n", [2.5, True, 2.0, 0])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            l1_ball_atoms(n, 1.0)
+
+    def test_numpy_integer_n(self):
+        assert np.array_equal(l1_ball_atoms(np.int64(2), 1.0).atoms, l1_ball_atoms(2, 1.0).atoms)
 
 
 class TestRandomVertexStart:
@@ -470,6 +488,13 @@ class TestMakeProblem:
     def test_invalid_combination_rejected(self):
         with pytest.raises(ValueError):
             make_problem("ext_beale", 9, 20, seed=0)
+
+    def test_unknown_function_named(self):
+        # it said "function 'nope' does not accept dimension n=10"
+        with pytest.raises(ValueError, match="unknown function 'nope'"):
+            make_problem("nope", 10, 10, 0)
+        with pytest.raises(ValueError, match="unknown function 'nope'"):
+            valid_dimension("nope", 10)
 
     @pytest.mark.parametrize(
         "m, seed, budget_factor",

@@ -468,6 +468,7 @@ class TestSuiteConfig:
             {"seeds": [0, 0]},
             {"pairs": [[2, 6], [2, 6]]},
             {"functions": ["power", "power"]},
+            {"functions": ["nope"]},
             # integers must be JSON integers: no silent truncation or bools
             {"seeds": [1.7]},
             {"seeds": [True]},
@@ -492,6 +493,26 @@ class TestSuiteConfig:
         manifest = write_manifest(tmp_path / "suite.json", **overrides)
         assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seeds": ("0",)},
+            {"pairs": ((2, np.float64(6.0)),)},
+            {"functions": ("nope",)},
+            {"budget_factor": np.bool_(True)},
+        ],
+    )
+    def test_direct_construction_raises_usage_error(self, kwargs):
+        with pytest.raises(cli.UsageError):
+            cli.SuiteConfig(**{"pairs": ((2, 6),), **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        # make_problem takes numpy integers, so the library SuiteConfig does too
+        suite = cli.SuiteConfig(
+            pairs=((np.int64(2), np.int64(6)),), seeds=(np.int64(1),), budget_factor=np.int64(20)
+        )
+        assert suite == cli.SuiteConfig(pairs=((2, 6),), seeds=(1,), budget_factor=20)
 
     def test_defaults_come_from_the_fields(self, tmp_path):
         path = tmp_path / "suite.json"

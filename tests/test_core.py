@@ -16,8 +16,43 @@ from atomdfo.core import (
     SimplexWeights,
     exchange_point,
     is_simplex_point,
+    require_integer,
     weights_point,
 )
+
+
+@pytest.mark.parametrize(
+    "value, low, high, ok",
+    [
+        (True, 0, math.inf, False),
+        (2.0, 0, math.inf, False),
+        (float("nan"), 0, math.inf, False),
+        ("3", 0, math.inf, False),
+        (None, 0, math.inf, False),
+        (np.int64(3), 0, math.inf, True),
+        (np.uint8(3), 0, math.inf, True),
+        (2, 2, 5, True),
+        (4, 2, 5, True),
+        (1, 2, 5, False),
+        (5, 2, 5, False),
+        (-1, 0, math.inf, False),
+    ],
+)
+def test_require_integer(value, low, high, ok):
+    # low is inclusive, high exclusive; a bool, float or string never passes
+    if ok:
+        out = require_integer("v", value, low, high)
+        assert type(out) is int and out == value
+    else:
+        with pytest.raises(ValueError, match="v must be an integer"):
+            require_integer("v", value, low, high)
+
+
+def test_require_integer_names_its_range():
+    with pytest.raises(ValueError, match=r"must be an integer >= 1, got 0$"):
+        require_integer("m", 0, 1)
+    with pytest.raises(ValueError, match=r"must be an integer in \[0, 3\), got 3$"):
+        require_integer("id", 3, 0, 3)
 
 
 class TestCombine:
@@ -284,6 +319,22 @@ class TestAtomSet:
         with pytest.raises(IndexError):
             AtomSet(np.eye(2)).subset([2])
 
+    @pytest.mark.parametrize(
+        "ids",
+        [[True, False, True], [True], [0.9, 1.7], [1.0], np.array([0.0, 1.0]), ["0"], [None]],
+        ids=["bools", "bool", "fractions", "float", "float_array", "str", "none"],
+    )
+    def test_subset_refuses_non_integer_ids(self, ids):
+        # bools were read as ids 1 and 0, and floats were truncated
+        with pytest.raises(ValueError, match="integers"):
+            AtomSet(np.arange(6.0).reshape(3, 2)).subset(ids)
+
+    def test_subset_takes_numpy_and_empty_ids(self):
+        atoms = AtomSet(np.arange(6.0).reshape(3, 2))
+        assert np.array_equal(atoms.subset(np.array([2, 0], dtype=np.uint8)), [[4.0, 5.0], [0.0, 1.0]])
+        assert np.array_equal(atoms.subset([np.int64(1)]), [[2.0, 3.0]])
+        assert atoms.subset([]).shape == (0, 2)
+
     def test_dimensions(self):
         atoms = AtomSet(np.zeros((5, 3)))
         assert atoms.m == 5 and atoms.n == 3 and len(atoms) == 5
@@ -310,6 +361,19 @@ class TestSimplexWeights:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             SimplexWeights(np.array([1.0]), (0, 1))
+
+    @pytest.mark.parametrize(
+        "ids", [(0.5, 1.5), (True, 2), (0, 1.0), (0, "1"), (-1, 2)],
+        ids=["fractions", "bool", "float", "str", "negative"],
+    )
+    def test_rejects_non_integer_ids(self, ids):
+        # (0.5, 1.5) became (0, 1), and True became atom 1
+        with pytest.raises(ValueError, match="atom id must be an integer"):
+            SimplexWeights(np.array([0.5, 0.5]), ids)
+
+    def test_numpy_integer_ids_become_ints(self):
+        w = SimplexWeights(np.array([0.5, 0.5]), (np.int64(3), np.uint8(1)))
+        assert w.ids == (3, 1) and all(type(i) is int for i in w.ids)
 
     def test_point(self):
         atoms = AtomSet(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]))

@@ -219,15 +219,18 @@ def check_cone_polarity(
     rng: np.random.Generator,
     project: Callable[[np.ndarray, np.ndarray], np.ndarray] = tangent_cone_project,
 ) -> PropertyReport:
-    """Whenever v_T = 0 (v in the normal cone), no feasible direction ascends on v.
+    """v_T = 0 exactly on the normal cone N(y) = {lam*1 - mu : mu >= 0, mu_i = 0 where y_i > 0}.
 
-    Sampled over all faces including exact vertices; complements
-    check_cone_measure on the degenerate case. Only those draws test anything, so
-    the detail counts them, and a sample with none fails.
+    Each trial maps its draw g into N(y) (lam = g at the pivot, mu_i = |g_i| on the zero set)
+    and checks v_T = 0 and no ascent on v, and no ascent on g if g_T = 0; vertices included.
     """
-    faces = _random_faces(rng, trials)
-    margins = [-_best_ascent(v, dirs) for y, dirs, v in faces if np.linalg.norm(project(v, y)) <= 1e-12]
-    detail = f"{len(margins)} of {trials} trials in the normal cone"
+    margins = []
+    for y, dirs, g in _random_faces(rng, trials):
+        v = np.where(y > ZERO_TOL, 0.0, -np.abs(g)) + g[np.argmax(y)]
+        margins += [-_best_ascent(v, dirs), -float(np.linalg.norm(project(v, y)))]
+        if np.linalg.norm(project(g, y)) <= 1e-12:
+            margins.append(-_best_ascent(g, dirs))
+    detail = f"{trials} of {trials} trials in the normal cone"
     return _verdict("cone-polarity", trials, margins, tol=1e-10, detail=detail)
 
 

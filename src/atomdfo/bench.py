@@ -232,16 +232,14 @@ _COMPLEX_STEP = 1e-100
 
 def valid_dimension(name: str, n: int) -> bool:
     require_integer("n", n, 1)
-    if name not in _CATALOG:
-        raise ValueError(f"unknown function {name!r}")
+    if name not in FUNCTION_NAMES:  # a tuple, so an unhashable name is unknown too
+        raise ValueError(f"unknown function {name!r}; known: {', '.join(FUNCTION_NAMES)}")
     _, even, min_n = _CATALOG[name]
     return n >= min_n and (not even or n % 2 == 0)
 
 
 def make_test_function(name: str, n: int) -> BenchFunction:
     """Instantiate a catalog function at dimension n, with its complex-step gradient."""
-    if name not in _CATALOG:
-        raise KeyError(f"unknown function {name!r}; known: {', '.join(FUNCTION_NAMES)}")
     if not valid_dimension(name, n):
         raise ValueError(f"function {name!r} does not accept dimension n={n}")
     value = _CATALOG[name][0]

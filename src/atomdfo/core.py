@@ -72,12 +72,7 @@ class AtomSet:
 
     def subset(self, ids: Sequence[int]) -> np.ndarray:
         """Matrix of the atoms with the given ids, one per row, in id-list order."""
-        idx = np.asarray(list(ids))
-        if idx.size and idx.dtype.kind not in "iu":  # no per-id loop: ORD calls this each iteration
-            raise ValueError(f"atom ids must be integers, got {idx.tolist()!r}")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.m):
-            raise IndexError(f"atom id out of range [0, {self.m})")
-        return self.atoms[idx.astype(int, copy=False)]
+        return self.atoms[[require_integer("atom id", i, 0, self.m) for i in ids]]
 
     def __len__(self) -> int:
         return self.m

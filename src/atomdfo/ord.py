@@ -60,7 +60,6 @@ class RefineOutcome:
 @dataclass(frozen=True)
 class OrdTraceRecord:
     k: int
-    active_size: int
     f_bar: float
     refined: bool
     dropped: int
@@ -69,6 +68,10 @@ class OrdTraceRecord:
     x_bar: np.ndarray
     y_bar: np.ndarray
     mu_hat: float
+
+    @property
+    def active_size(self) -> int:
+        return len(self.active_ids)
 
 
 @dataclass
@@ -300,7 +303,7 @@ def ord_solve(
     k = 0
     while True:
         eps_k = cfg.eps_at(k)
-        A_k = atoms.subset(active)
+        A_k = atoms.atoms[active]  # ids ORD built itself, so no per-id check
         phi = lambda yv: objective(weights_point(yv, A_k))  # noqa: E731 - rebound every iteration
         inner_cfg = replace(cfg.inner, epsilon=eps_k)
         inner = df_simplex_solve(phi, y, inner_cfg, f0=f_x)
@@ -333,8 +336,8 @@ def ord_solve(
 
         if sink is not None:
             sink(OrdTraceRecord(
-                k=k, active_size=len(active), f_bar=float(f_bar), refined=refine.found,
-                dropped=len(dropped), evals=objective.eval_count, active_ids=tuple(active),
+                k=k, f_bar=float(f_bar), refined=refine.found, dropped=len(dropped),
+                evals=objective.eval_count, active_ids=tuple(active),
                 x_bar=x_bar, y_bar=y_bar, mu_hat=mu_hat,
             ))
 

@@ -210,10 +210,11 @@ class TestNegativeControls:
         report = check_simplex_gradient_affine(5, np.random.default_rng(0))
         assert not report.passed and np.isnan(report.worst_margin), report.line()
 
-    def test_identity_projector_tests_no_polarity_trial_and_fails(self):
-        # v_T = v is never 0, so no draw lands in the normal cone and nothing is tested
+    def test_identity_projector_fails_polarity(self):
+        # v_T = v is not 0 on the normal-cone draws, which every trial makes
         report = check_cone_polarity(200, np.random.default_rng(0), project=lambda v, y: v)
-        assert not report.passed and report.detail.startswith("0 of 200"), report.line()
+        assert not report.passed and report.worst_margin < -0.1, report.line()
+        assert report.detail == "200 of 200 trials in the normal cone"
 
 
 class TestVerdict:
@@ -233,7 +234,7 @@ class TestVerdict:
 
     def test_cone_polarity_reports_its_tested_count(self):
         report = check_cone_polarity(100, np.random.default_rng(0))
-        assert report.passed and report.detail == "5 of 100 trials in the normal cone"
+        assert report.passed and report.detail == "100 of 100 trials in the normal cone"
 
 
 def _parent_faces(rng, trials, keep_two):

@@ -361,7 +361,7 @@ def test_arwhead_value_and_gradient():
 
 
 def test_unknown_name_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown function 'nope'"):
         make_test_function("nope", 10)
 
 

@@ -501,6 +501,7 @@ class TestSuiteConfig:
             {"pairs": ((2, np.float64(6.0)),)},
             {"functions": ("nope",)},
             {"budget_factor": np.bool_(True)},
+            {"functions": (["power"],)},
         ],
     )
     def test_direct_construction_raises_usage_error(self, kwargs):
@@ -526,6 +527,21 @@ class TestSuiteConfig:
         err = capsys.readouterr().err
         assert "budget_factr" in err and "'solver'" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("entry", ["make_test_function", "valid_dimension", "make_problem", "manifest"])
+    def test_unknown_function_name(self, tmp_path, capsys, entry):
+        # every entry point raises one ValueError; make_test_function raised KeyError
+        if entry == "manifest":
+            manifest = write_manifest(tmp_path / "suite.json", functions=["nope"])
+            with pytest.raises(cli.UsageError, match="unknown function 'nope'"):
+                cli.SuiteConfig.from_json(manifest)
+            assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
+            assert "unknown function 'nope'" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+        else:
+            args = (10, 20, 0) if entry == "make_problem" else (10,)
+            with pytest.raises(ValueError, match="unknown function 'nope'"):
+                getattr(bench, entry)("nope", *args)
 
     def test_unparseable_json(self, tmp_path):
         path = tmp_path / "suite.json"

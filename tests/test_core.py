@@ -77,7 +77,7 @@ class TestCombine:
     def test_shape_mismatch(self):
         # weights naming an atom the set does not have
         w = SimplexWeights(np.array([0.5, 0.5]), (0, 3))
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="got 3"):
             weights_point(w.w, AtomSet(np.eye(3)).subset(w.ids))
 
     @given(st.integers(0, 10**9))
@@ -316,23 +316,29 @@ class TestAtomSet:
             AtomSet(np.zeros((0, 2)))
         with pytest.raises(ValueError):
             AtomSet(np.array([[np.inf, 0.0]]))
-        with pytest.raises(IndexError):
-            AtomSet(np.eye(2)).subset([2])
+        for ids in ([2], [-1]):
+            with pytest.raises(ValueError, match=r"in \[0, 2\), got"):
+                AtomSet(np.eye(2)).subset(ids)
 
     @pytest.mark.parametrize(
         "ids",
-        [[True, False, True], [True], [0.9, 1.7], [1.0], np.array([0.0, 1.0]), ["0"], [None]],
-        ids=["bools", "bool", "fractions", "float", "float_array", "str", "none"],
+        [[True, False, True], [True], [0.9, 1.7], [1.0], np.array([0.0, 1.0]), ["0"], [None],
+         [1, True], [0, np.True_], [1, 2.0]],
+        ids=["bools", "bool", "fractions", "float", "float_array", "str", "none",
+             "int_and_bool", "int_and_numpy_bool", "int_and_float"],
     )
     def test_subset_refuses_non_integer_ids(self, ids):
-        # bools were read as ids 1 and 0, and floats were truncated
-        with pytest.raises(ValueError, match="integers"):
+        # bools were read as ids 1 and 0, and floats were truncated; numpy built
+        # an integer array from [1, True] before each id was checked
+        with pytest.raises(ValueError, match="must be an integer"):
             AtomSet(np.arange(6.0).reshape(3, 2)).subset(ids)
 
     def test_subset_takes_numpy_and_empty_ids(self):
         atoms = AtomSet(np.arange(6.0).reshape(3, 2))
         assert np.array_equal(atoms.subset(np.array([2, 0], dtype=np.uint8)), [[4.0, 5.0], [0.0, 1.0]])
         assert np.array_equal(atoms.subset([np.int64(1)]), [[2.0, 3.0]])
+        assert np.array_equal(atoms.subset([np.int64(1), 2]), [[2.0, 3.0], [4.0, 5.0]])
+        assert np.array_equal(atoms.subset(range(3)), atoms.atoms)
         assert atoms.subset([]).shape == (0, 2)
 
     def test_dimensions(self):

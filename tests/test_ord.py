@@ -558,6 +558,7 @@ class TestOrdSolve:
         records = []
         res = ord_solve(f, atoms, OrdConfig(rng_seed=2), 0, sink=records.append)
         for rec in records:
+            assert rec.active_size == len(rec.active_ids) == len(rec.y_bar)
             assert abs(rec.y_bar.sum() - 1.0) <= 1e-12
             assert np.all(rec.y_bar >= 0.0)
             recombined = rec.y_bar @ atoms.subset(rec.active_ids)

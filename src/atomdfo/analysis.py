@@ -1,10 +1,9 @@
 """Verification layer: stationarity measures, tangent-cone oracle, property suite.
 
-Everything here exists to check the solvers, not to run inside them. The cone
-projection oracle is exponential in the number of active zero weights and is
-capped accordingly; the property suite turns the geometric facts the solvers
-rely on into randomized, seeded checks with explicit margins. The five cone
-checks draw every random face from one sampler, _random_faces.
+Everything here exists to check the solvers, not to run inside them. The
+property suite turns the geometric facts the solvers rely on into randomized,
+seeded checks with explicit margins. The five cone checks draw every random
+face from one sampler, _random_faces.
 """
 from __future__ import annotations
 
@@ -15,12 +14,6 @@ import numpy as np
 
 from .core import BudgetedObjective, DfSimplexConfig, ZERO_TOL
 from .dfsimplex import df_simplex_solve, line_search
-
-CONE_ORACLE_CAP = 12
-
-
-class CapExceeded(Exception):
-    """The subset-enumeration oracle was asked for more coordinates than it supports."""
 
 
 def kkt_gap(g: np.ndarray, y: np.ndarray) -> float:
@@ -36,38 +29,24 @@ def kkt_gap(g: np.ndarray, y: np.ndarray) -> float:
 def tangent_cone_project(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean projection of v onto the tangent cone of the simplex at y.
 
-    The cone is {u : sum(u) = 0, u_i >= 0 for i in Z}, Z the zero set of y.
-    Every subset of Z is tried as the pinned (equality) set; each
-    candidate is the closed-form least-squares point on the corresponding
-    affine subset, and the feasible candidate of minimum distance is the exact
-    projection. Exponential in |Z|, hence the cap.
+    The cone is {u : sum(u) = 0, u_i >= 0 for i in Z}, Z the zero set of y. By
+    its KKT conditions u = v - lam off Z and u = max(v - lam, 0) on Z, where lam
+    is the mean of v over the free coordinates and the entries of v on Z above
+    lam. Those join in decreasing order while each lies above the running mean,
+    as in the sort-and-threshold projection onto the simplex: exact, any length.
     """
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
-    m = len(v)
-    if m != len(y):
+    if len(v) != len(y):
         raise ValueError("vector and cone dimensions differ")
-    if m > CONE_ORACLE_CAP:
-        raise CapExceeded(f"oracle supports up to {CONE_ORACLE_CAP} coordinates, got {m}")
-    zeros = [int(i) for i in np.flatnonzero(y <= ZERO_TOL)]
-    best = None
-    best_d2 = np.inf
-    for bits in range(1 << len(zeros)):
-        pinned = [zeros[t] for t in range(len(zeros)) if (bits >> t) & 1]
-        free = [h for h in range(m) if h not in pinned]
-        if not free:
-            continue
-        u = np.zeros(m)
-        vf = v[free]
-        u[free] = vf - vf.mean()
-        if any(u[h] < -1e-12 for h in zeros if h not in pinned):
-            continue
-        d2 = float(np.sum((u - v) ** 2))
-        if d2 < best_d2:
-            best_d2 = d2
-            best = u
-    assert best is not None, "simplex point must have a nonempty positive support"
-    return best
+    free = y > ZERO_TOL
+    if not free.any():
+        raise ValueError("simplex point must have a nonempty positive support")
+    order = np.flatnonzero(~free)[np.argsort(-v[~free])]
+    running = (v[free].sum() + np.cumsum(np.r_[0.0, v[order]])) / np.arange(free.sum(), len(v) + 1)
+    joins = np.argmin(np.append(v[order] > running[:-1], False))  # they stop at the first not above
+    free[order[:joins]] = True
+    return np.where(free, v - v[free].mean(), 0.0)
 
 
 def feasible_direction_set(y: np.ndarray, j: int) -> List[Tuple[int, int, int]]:

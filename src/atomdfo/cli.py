@@ -51,6 +51,14 @@ class UsageError(Exception):
     """Bad manifest or arguments; maps to exit code 2."""
 
 
+def _integer_flag(flag: str, value, low: int) -> int:
+    """``value`` by the library's integer rule, core.require_integer, else UsageError."""
+    try:
+        return require_integer(flag, value, low)
+    except ValueError:
+        raise UsageError(f"{flag} must be at least {low} and an integer, got {value!r}") from None
+
+
 def _ord_config(options: Dict) -> OrdConfig:
     opts = dict(options)
     if "rng_seed" in opts:
@@ -199,8 +207,7 @@ def _outcomes(tasks, workers: int):
 
 
 def cmd_run(manifest_path, out_dir, jobs: int = 1) -> int:
-    if jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    jobs = _integer_flag("--jobs", jobs, 1)
     suite = SuiteConfig.from_json(manifest_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,8 +329,7 @@ def cmd_profile(trace_dir, out_dir, taus: Sequence[float]) -> int:
 
 
 def cmd_verify(level: str, seed: int) -> int:
-    if seed < 0:
-        raise UsageError(f"--seed must be at least 0, got {seed}")
+    seed = _integer_flag("--seed", seed, 0)
     # imported here: only verify needs the property suites
     from .analysis import run_property_suite
 

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+import atomdfo.ord
 from atomdfo import bench, cli, profiles
 from atomdfo.analysis import (
     check_cone_measure,
@@ -145,42 +146,72 @@ def test_criterion_5_simplex_gradient_exactness():
     )
 
 
-def test_criterion_6_identification(zero_weight_drop):
-    violations = 0
-    entered_all = True
+def _identification_runs(rules):
+    """Criterion 6's 20 instances, each run under every rule in ``rules``.
+
+    On each atom cloud x* is the centroid of a hull facet picked with the
+    instance's rng and f = |x - c|^2 with c two units beyond the facet along
+    its outward normal, so x* is the minimizer and grad f(x*) = 2 (x* - c).
+    Returns the margin-set size of each instance and, per run, whether it
+    entered the 1e-2 ball around x* and how many later iterations kept a
+    margin atom active.
+    """
+    from scipy.spatial import ConvexHull
+
+    margins, runs = [], []
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
         atoms = AtomSet(rng.uniform(0, 10, (10, 3)))
-        w = rng.dirichlet(np.ones(10)) * 0.8 + 0.02
-        w = w / w.sum()
-        x_star = w @ atoms.atoms  # strictly interior, so it is the minimizer
-        f = lambda x, c=x_star: float(np.sum((x - c) ** 2))
-        grad_star = np.zeros(3)  # 2 (x* - c) with c = x*
+        hull = ConvexHull(atoms.atoms)
+        facet = int(rng.integers(len(hull.simplices)))
+        x_star = atoms.atoms[hull.simplices[facet]].mean(axis=0)
+        c = x_star + 2.0 * hull.equations[facet, :3]  # qhull's normals are unit and outward
+        f = lambda x, c=c: float(np.sum((x - c) ** 2))
+        grad_star = 2.0 * (x_star - c)
         scale = float(np.max(np.linalg.norm(atoms.atoms - x_star, axis=1)))
         margin_atoms = {
             i
             for i in range(atoms.m)
             if grad_star @ (atoms.atoms[i] - x_star) > 1e-3 * scale
         }
-        # ORD's zero-weight fallback, then its gradient-filtered rule
-        for rule in (zero_weight_drop, contextlib.nullcontext):
+        margins.append(len(margin_atoms))
+        for rule in rules:
             records = []
             with rule():
                 ord_solve(f, atoms, OrdConfig(rng_seed=trial), start_atom_id=0, sink=records.append)
             near = (rec.k for rec in records if np.linalg.norm(rec.x_bar - x_star) <= 1e-2)
             entered = next(near, None)
-            if entered is None:
-                entered_all = False
-                continue
-            for rec in records:
-                if rec.k > entered and set(rec.active_ids) & margin_atoms:
-                    violations += 1
+            late = [rec for rec in records if entered is not None and rec.k > entered]
+            runs.append((entered is not None, sum(bool(set(rec.active_ids) & margin_atoms) for rec in late)))
+    return margins, runs
+
+
+def _identified(runs):
+    """Criterion 6's predicate: every run entered the ball and then held no margin atom."""
+    return all(entered and violations == 0 for entered, violations in runs)
+
+
+def test_criterion_6_identification(zero_weight_drop):
+    # ORD's zero-weight fallback, then its gradient-filtered rule
+    margins, runs = _identification_runs((zero_weight_drop, contextlib.nullcontext))
+    violations = sum(v for _, v in runs)
+    entered_all = all(entered for entered, _ in runs)
     report(
         "criterion-6 identification",
-        violations == 0 and entered_all,
-        f"20 instances x 2 drop rules, violations={violations}, "
+        min(margins) > 0 and _identified(runs),
+        f"20 face-minimizer instances x 2 drop rules, {sum(margins)} margin atoms "
+        f"(fewest on one instance: {min(margins)}), violations={violations}, "
         f"every run entered the 1e-2 ball: {entered_all}",
     )
+
+
+def test_criterion_6_fails_when_nothing_is_dropped(monkeypatch):
+    # negative control: with drop_phase dropping nothing, margin atoms stay active
+    monkeypatch.setattr(atomdfo.ord, "drop_phase", lambda *args: set())
+    margins, runs = _identification_runs((contextlib.nullcontext,))
+    assert min(margins) > 0
+    assert not _identified(runs)
+    print(f"never-drop control: {sum(v > 0 for _, v in runs)} of {len(runs)} instances violate")
 
 
 def test_criterion_7_linesearch_oracle_equivalence():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atomdfo.analysis import (
-    CapExceeded,
     PropertyReport,
     _random_faces,
     _verdict,
@@ -61,14 +60,35 @@ class TestTangentConeProject:
         got = tangent_cone_project(np.array([1.0, -1.0]), np.array([1.0, 0.0]))
         assert np.allclose(got, [0.0, 0.0], atol=1e-15)
 
-    def test_cap(self):
-        y = np.full(13, 1.0 / 13.0)
-        with pytest.raises(CapExceeded):
-            tangent_cone_project(np.ones(13), y)
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             tangent_cone_project(np.ones(3), np.array([0.5, 0.5]))
+
+    def test_point_without_positive_weight_rejected(self):
+        with pytest.raises(ValueError, match="positive support"):
+            tangent_cone_project(np.ones(3), np.zeros(3))
+
+    @pytest.mark.parametrize("m", [13, 50, 200])
+    def test_kkt_certificate_at_any_length(self, m):
+        # about half the weights zero, and several entries of v on Z tied at
+        # the multiplier lam: moving an entry that stays out of the mean to
+        # lam leaves lam where it was, so the second projection meets the ties
+        rng = np.random.default_rng(m)
+        y = random_simplex_point(rng, m, m // 2)
+        zero = y <= ZERO_TOL
+        v = rng.normal(size=m)
+        u = tangent_cone_project(v, y)
+        lam = float(np.mean((v - u)[~zero]))
+        out = np.flatnonzero(zero & (u == 0.0))
+        ties = out[: max(2, len(out) // 2)]
+        assert len(ties) >= 2
+        v[ties] = lam
+        u = tangent_cone_project(v, y)
+        mu = u - v + float(np.mean((v - u)[~zero]))  # v - u = lam * 1 - mu
+        assert abs(u.sum()) <= 1e-12
+        assert u[zero].min() >= -1e-12 and mu[zero].min() >= -1e-12
+        assert np.max(np.abs(mu[~zero])) <= 1e-12
+        assert np.max(np.abs(mu * u)) <= 1e-12
 
     def test_matches_slsqp_qp(self):
         from scipy.optimize import minimize

@@ -121,6 +121,20 @@ class TestRun:
         assert cli.main(["run", "--config", str(manifest), "--out", str(out), "--jobs", jobs]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [2.5, True, 2.0, "2"])
+    def test_jobs_follows_the_integer_rule(self, tmp_path, jobs):
+        # three runs, so a pool would start; the check comes before --out is
+        # made or an old summary.csv is deleted
+        manifest = write_manifest(tmp_path / "suite.json", functions=["power", "quartc", "arwhead"])
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        (stale / "summary.csv").write_text("stale\n")
+        for out in (tmp_path / "out", stale):
+            with pytest.raises(cli.UsageError, match="--jobs must be at least 1 and an integer"):
+                cli.cmd_run(manifest, out, jobs=jobs)
+        assert not (tmp_path / "out").exists()
+        assert (stale / "summary.csv").read_text() == "stale\n"
+
     def test_worker_count_capped_at_run_count(self, tmp_path, monkeypatch):
         started = []
 
@@ -627,6 +641,12 @@ class TestVerify:
         monkeypatch.setattr(atomdfo.analysis, "run_property_suite", lambda level, seed: 1 / 0)
         assert cli.main(["verify", "--seed", "-1"]) == 2
         assert "--seed must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1.5, True, 0.0, "0"])
+    def test_seed_follows_the_integer_rule(self, monkeypatch, seed):
+        monkeypatch.setattr(atomdfo.analysis, "run_property_suite", lambda level, seed: 1 / 0)
+        with pytest.raises(cli.UsageError, match="--seed must be at least 0 and an integer"):
+            cli.cmd_verify("quick", seed)
 
     def test_injected_failure_flips_exit_code(self, monkeypatch, capsys):
         broken = [PropertyReport("cone-measure", 10, -1.0, False)]

@@ -49,30 +49,22 @@ def tangent_cone_project(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(free, v - v[free].mean(), 0.0)
 
 
-def feasible_direction_set(y: np.ndarray, j: int) -> List[Tuple[int, int, int]]:
-    """The feasible exchange directions at y against pivot j, as (sign, i, j) triples.
+def feasible_direction_set(y: np.ndarray, j: int) -> np.ndarray:
+    """The feasible exchange directions at y against pivot j, as the columns of an (m, k) matrix.
 
-    +(e_i - e_j) is feasible for every i (y_j > 0 lets mass leave j);
-    -(e_i - e_j) only where y_i > 0.
+    For each i != j in order: +(e_i - e_j), feasible for every i (y_j > 0 lets
+    mass leave j), then -(e_i - e_j) where y_i > 0.
     """
     y = np.asarray(y, dtype=float)
     if y[j] <= ZERO_TOL:
         raise ValueError(f"pivot weight must be positive, got y[{j}]={y[j]}")
-    out: List[Tuple[int, int, int]] = []
-    for i in range(len(y)):
-        if i == j:
-            continue
-        out.append((+1, i, j))
-        if y[i] > ZERO_TOL:
-            out.append((-1, i, j))
-    return out
-
-
-def direction_vector(sign: int, i: int, j: int, m: int) -> np.ndarray:
-    d = np.zeros(m)
-    d[i] = float(sign)
-    d[j] = -float(sign)
-    return d
+    i = np.flatnonzero(np.arange(len(y)) != j).repeat(2)
+    sign = np.tile([1.0, -1.0], len(y) - 1)
+    keep = (sign > 0) | (y[i] > ZERO_TOL)
+    D = np.zeros((len(y), int(keep.sum())))
+    D[i[keep], np.arange(D.shape[1])] = sign[keep]
+    D[j] = -sign[keep]
+    return D
 
 
 def reference_line_search(
@@ -163,16 +155,16 @@ def _random_quadratic(rng: np.random.Generator, m: int, scale: float = 1.0):
 
 def _random_faces(rng: np.random.Generator, trials: int, keep_two: bool = False):
     """Per trial: y on a random face of the m-simplex, m in 2..8 (with keep_two, at least two
-    positive weights), its feasible directions against argmax y, then v ~ N(0, I)."""
+    positive weights), its feasible-direction matrix against argmax y, then v ~ N(0, I)."""
     for _ in range(trials):
         m = int(rng.integers(2, 9))
         y = random_simplex_point(rng, m, int(rng.integers(0, m - 1 if keep_two else m)))
         yield y, feasible_direction_set(y, int(np.argmax(y))), rng.normal(size=m)
 
 
-def _best_ascent(v: np.ndarray, dirs: List[Tuple[int, int, int]]):
-    """max_{d in dirs} v^T d."""
-    return max(sign * (v[i] - v[j]) for sign, i, j in dirs)
+def _best_ascent(v: np.ndarray, D: np.ndarray) -> float:
+    """max v^T d over the columns d of D."""
+    return float((v @ D).max())
 
 
 def check_cone_measure(
@@ -187,8 +179,8 @@ def check_cone_measure(
     face is exercised separately by check_cone_polarity.
     """
     margins = (
-        _best_ascent(v, dirs) - float(np.linalg.norm(project(v, y))) / (2.0 * (len(y) - 1))
-        for y, dirs, v in _random_faces(rng, trials, keep_two=True)
+        _best_ascent(v, D) - float(np.linalg.norm(project(v, y))) / (2.0 * (len(y) - 1))
+        for y, D, v in _random_faces(rng, trials, keep_two=True)
     )
     return _verdict("cone-measure", trials, margins, tol=1e-10)
 
@@ -204,11 +196,11 @@ def check_cone_polarity(
     and checks v_T = 0 and no ascent on v, and no ascent on g if g_T = 0; vertices included.
     """
     margins = []
-    for y, dirs, g in _random_faces(rng, trials):
+    for y, D, g in _random_faces(rng, trials):
         v = np.where(y > ZERO_TOL, 0.0, -np.abs(g)) + g[np.argmax(y)]
-        margins += [-_best_ascent(v, dirs), -float(np.linalg.norm(project(v, y)))]
+        margins += [-_best_ascent(v, D), -float(np.linalg.norm(project(v, y)))]
         if np.linalg.norm(project(g, y)) <= 1e-12:
-            margins.append(-_best_ascent(g, dirs))
+            margins.append(-_best_ascent(g, D))
     detail = f"{trials} of {trials} trials in the normal cone"
     return _verdict("cone-polarity", trials, margins, tol=1e-10, detail=detail)
 
@@ -218,8 +210,7 @@ def check_generator_property(trials: int, rng: np.random.Generator) -> PropertyR
     from scipy.optimize import nnls
 
     margins = []
-    for y, dirs, v in _random_faces(rng, trials):
-        D = np.column_stack([direction_vector(s, i, j, len(y)) for s, i, j in dirs])
+    for y, D, v in _random_faces(rng, trials):
         margins.append(1e-8 - nnls(D, tangent_cone_project(v, y))[1])
     return _verdict("cone-generators", trials, margins)
 
@@ -235,11 +226,11 @@ def check_polar_decomposition(
     projector onto the hyperplane sum(u) = 0 would pass.
     """
     margins = []
-    for y, dirs, v in _random_faces(rng, trials):
+    for y, D, v in _random_faces(rng, trials):
         v_t = project(v, y)
         v_n = v - v_t
         cone = max(abs(float(v_t.sum())), float(np.max(-v_t[y <= ZERO_TOL], initial=0.0)))
-        margins += [1e-10 - abs(float(v_t @ v_n)), 1e-10 - _best_ascent(v_n, dirs), 1e-10 - cone]
+        margins += [1e-10 - abs(float(v_t @ v_n)), 1e-10 - _best_ascent(v_n, D), 1e-10 - cone]
     return _verdict("polar-decomposition", trials, margins)
 
 

@@ -1,4 +1,4 @@
-"""Problem generators: the 25-function catalog, uniform atom clouds, l1-ball atoms.
+"""Problem generators: the 25-function catalog and uniform atom clouds.
 
 Function formulas follow the standard unconstrained-collection definitions
 (Andrei's collection and CUTEst), each with fewer numpy calls than its textbook
@@ -25,9 +25,6 @@ class BenchFunction:
     n: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> float:
-        return self.value(x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,18 +266,6 @@ def generate_uniform_atoms(n: int, m: int, seed=None) -> AtomSet:
     """m i.i.d. uniform atoms in [0, 10]^n, deterministic under the seed."""
     size = (require_integer("m", m, 1), require_integer("n", n, 1))
     return AtomSet(np.random.default_rng(seed).uniform(0.0, 10.0, size=size))
-
-
-def l1_ball_atoms(n: int, radius: float) -> AtomSet:
-    """The 2n signed scaled basis vectors; their hull is the l1 ball of that radius."""
-    n = require_integer("n", n, 1)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    atoms = np.zeros((2 * n, n))
-    for i in range(n):
-        atoms[2 * i, i] = radius
-        atoms[2 * i + 1, i] = -radius
-    return AtomSet(atoms)
 
 
 def random_vertex_start(m: int, seed=None) -> int:

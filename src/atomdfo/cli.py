@@ -130,6 +130,9 @@ class SuiteConfig:
             unknown = sorted(set(raw) - {f.name for f in fields(cls)})
             if unknown:
                 raise UsageError(f"bad manifest {path}: unknown keys {unknown}")
+            for key in ("pairs", "functions", "seeds", "solvers"):
+                if not isinstance(raw.get(key, []), list):
+                    raise UsageError(f"bad manifest {path}: {key!r} must be a JSON list, got {raw[key]!r}")
             return cls(**{key: _FROM_JSON.get(key, tuple)(value) for key, value in raw.items()})
         except (AttributeError, TypeError, ValueError) as exc:
             raise UsageError(f"bad manifest {path}: {exc}") from exc
@@ -206,11 +209,19 @@ def _outcomes(tasks, workers: int):
         yield from map(_run_task, tasks)
 
 
+def _make_out(out_dir) -> Path:
+    """The --out directory, made with its parents if missing, else UsageError."""
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make --out {out_dir} a directory: {exc}") from exc
+    return Path(out_dir)
+
+
 def cmd_run(manifest_path, out_dir, jobs: int = 1) -> int:
     jobs = _integer_flag("--jobs", jobs, 1)
     suite = SuiteConfig.from_json(manifest_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(out_dir)
     # seed before function: the runs on one atom cloud are consecutive, so
     # bench's one-entry cloud cache generates each cloud once
     tasks = [
@@ -317,8 +328,7 @@ def cmd_profile(trace_dir, out_dir, taus: Sequence[float]) -> int:
     if bad:
         raise UsageError(f"--tau must be in (0, 1), got {bad}")
     records = load_run_records(trace_dir)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(out_dir)
     for tau in taus:
         data = profiles.data_profile(records, tau)
         perf = profiles.performance_profile(records, tau)

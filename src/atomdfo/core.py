@@ -74,9 +74,6 @@ class AtomSet:
         """Matrix of the atoms with the given ids, one per row, in id-list order."""
         return self.atoms[[require_integer("atom id", i, 0, self.m) for i in ids]]
 
-    def __len__(self) -> int:
-        return self.m
-
 
 @dataclass(frozen=True)
 class SimplexWeights:

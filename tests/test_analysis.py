@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from atomdfo.analysis import (
     PropertyReport,
+    _best_ascent,
     _random_faces,
     _verdict,
     check_cone_measure,
@@ -14,7 +15,6 @@ from atomdfo.analysis import (
     check_polar_decomposition,
     check_simplex_gradient_affine,
     check_stationarity_bound,
-    direction_vector,
     feasible_direction_set,
     kkt_gap,
     random_simplex_point,
@@ -127,22 +127,61 @@ class TestTangentConeProject:
 class TestFeasibleDirectionSet:
     def test_both_signs_in_the_interior(self):
         got = feasible_direction_set(np.array([0.5, 0.5]), 0)
-        assert got == [(+1, 1, 0), (-1, 1, 0)]
+        assert np.array_equal(got, [[-1.0, 1.0], [1.0, -1.0]])
 
     def test_backward_infeasible_at_vertex(self):
         got = feasible_direction_set(np.array([1.0, 0.0]), 0)
-        assert got == [(+1, 1, 0)]
+        assert np.array_equal(got, [[-1.0], [1.0]])
 
     def test_mixed_boundary(self):
+        # columns +(e_0 - e_1), -(e_0 - e_1), +(e_2 - e_1)
         got = feasible_direction_set(np.array([0.4, 0.6, 0.0]), 1)
-        assert got == [(+1, 0, 1), (-1, 0, 1), (+1, 2, 1)]
+        assert np.array_equal(got, [[1.0, -1.0, 0.0], [-1.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+
+    def test_single_coordinate_has_no_direction(self):
+        got = feasible_direction_set(np.array([1.0]), 0)
+        assert got.shape == (1, 0) and got.dtype == np.float64
 
     def test_zero_pivot_rejected(self):
         with pytest.raises(ValueError):
             feasible_direction_set(np.array([1.0, 0.0]), 1)
 
-    def test_direction_vector(self):
-        assert np.array_equal(direction_vector(-1, 0, 2, 3), [-1.0, 0.0, 1.0])
+
+def _exchange_triples(y, j):
+    """Reference for feasible_direction_set: its columns as (sign, i, j) triples, in order."""
+    out = []
+    for i in range(len(y)):
+        if i != j:
+            out.append((+1, i, j))
+            if y[i] > ZERO_TOL:
+                out.append((-1, i, j))
+    return out
+
+
+class TestBestAscent:
+    def _check(self, y, D, v):
+        triples = _exchange_triples(y, int(np.argmax(y)))
+        want = np.zeros((len(y), len(triples)))
+        for col, (sign, i, j) in enumerate(triples):
+            want[i, col], want[j, col] = sign, -sign
+        assert D.tobytes() == want.tobytes() and D.shape == want.shape
+        assert _best_ascent(v, D) == max(sign * (v[i] - v[j]) for sign, i, j in triples)
+
+    @pytest.mark.parametrize("keep_two", [False, True])
+    def test_equals_the_triple_formula_on_random_faces(self, keep_two):
+        for y, D, v in _random_faces(np.random.default_rng(5), 1000, keep_two=keep_two):
+            self._check(y, D, v)
+
+    def test_equals_the_triple_formula_on_tied_normal_cone_draws(self):
+        # the polarity check's draw: v equal on the support, so every exchange
+        # inside it ascends by exactly 0; integer g adds ties off the support
+        rng = np.random.default_rng(6)
+        for k, (y, D, g) in enumerate(_random_faces(rng, 1000)):
+            if k % 2:
+                g = rng.integers(-2, 3, size=len(y)).astype(float)
+            v = np.where(y > ZERO_TOL, 0.0, -np.abs(g)) + g[np.argmax(y)]
+            self._check(y, D, v)
+            self._check(y, D, g)
 
 
 class TestConeMeasureProperty:
@@ -156,8 +195,7 @@ class TestConeMeasureProperty:
         v = np.array([1.0, -1.0])
         v_t = tangent_cone_project(v, y)
         assert np.linalg.norm(v_t) == 0.0
-        dirs = feasible_direction_set(y, 0)
-        best = max(s * (v[i] - v[j]) for s, i, j in dirs)
+        best = _best_ascent(v, feasible_direction_set(y, 0))
         assert best == -2.0  # ascent impossible: v is polar to the cone
 
     def test_measure_property_holds(self):
@@ -264,9 +302,9 @@ def _parent_faces(rng, trials, keep_two):
         n_zeros = int(rng.integers(0, m - 1)) if keep_two else int(rng.integers(0, m))
         y = random_simplex_point(rng, m, n_zeros)
         j = int(np.argmax(y))
-        dirs = feasible_direction_set(y, j)
+        D = feasible_direction_set(y, j)
         v = rng.normal(size=m)
-        yield y, dirs, v
+        yield y, D, v
 
 
 class TestRandomFaces:
@@ -279,9 +317,11 @@ class TestRandomFaces:
         got = list(_random_faces(got_rng, 300, keep_two=keep_two))
         want = list(_parent_faces(want_rng, 300, keep_two))
         assert len(got) == len(want) == 300
-        for (y, dirs, v), (y0, dirs0, v0) in zip(got, want):
+        for (y, D, v), (y0, D0, v0) in zip(got, want):
             assert y.tobytes() == y0.tobytes() and v.tobytes() == v0.tobytes()
-            assert dirs == dirs0 == feasible_direction_set(y, int(np.argmax(y)))
+            again = feasible_direction_set(y, int(np.argmax(y)))
+            assert D.shape == D0.shape == again.shape
+            assert D.tobytes() == D0.tobytes() == again.tobytes()
             if keep_two:
                 assert np.count_nonzero(y) >= 2
         assert got_rng.bit_generator.state == want_rng.bit_generator.state

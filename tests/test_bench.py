@@ -5,7 +5,6 @@ from atomdfo import bench
 from atomdfo.bench import (
     FUNCTION_NAMES,
     generate_uniform_atoms,
-    l1_ball_atoms,
     make_problem,
     make_test_function,
     random_vertex_start,
@@ -323,7 +322,7 @@ def test_non_integer_dimension_rejected(n):
 
 def test_numpy_integer_dimension_accepted():
     assert valid_dimension("power", np.int64(4))
-    assert make_test_function("power", np.int64(4))(np.ones(4)) == 30.0
+    assert make_test_function("power", np.int64(4)).value(np.ones(4)) == 30.0
 
 
 @pytest.mark.parametrize("name", sorted(set(FUNCTION_NAMES) - EVEN_ONLY))
@@ -340,20 +339,20 @@ def test_values_are_finite_on_the_box():
     for name in FUNCTION_NAMES:
         func = make_test_function(name, 10)
         for _ in range(5):
-            assert np.isfinite(func(rng.uniform(0, 10, 10)))
+            assert np.isfinite(func.value(rng.uniform(0, 10, 10)))
 
 
 def test_power_zero_at_origin():
     func = make_test_function("power", 4)
-    assert func(np.zeros(4)) == 0.0
+    assert func.value(np.zeros(4)) == 0.0
     x = np.array([1.0, 2.0, 0.5, -1.0])
     expected = sum((i * xi) ** 2 for i, xi in enumerate(x, start=1))
-    assert func(x) == pytest.approx(expected, rel=1e-15)
+    assert func.value(x) == pytest.approx(expected, rel=1e-15)
 
 
 def test_arwhead_value_and_gradient():
     func = make_test_function("arwhead", 2)
-    assert func(np.zeros(2)) == 3.0  # single block: 0 - 0 + 3
+    assert func.value(np.zeros(2)) == 3.0  # single block: 0 - 0 + 3
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 10, 2)
     fd = central_difference_gradient(func.value, x)
@@ -382,7 +381,7 @@ def test_chained_functions_require_two_variables():
 def test_wrong_shape_rejected():
     func = make_test_function("power", 4)
     with pytest.raises(ValueError):
-        func(np.zeros(5))
+        func.value(np.zeros(5))
     with pytest.raises(ValueError):
         func.gradient(np.zeros(5))
 
@@ -417,33 +416,6 @@ class TestUniformAtoms:
     def test_numpy_integer_counts(self):
         a = generate_uniform_atoms(np.int64(2), np.uint8(3), seed=7)
         assert np.array_equal(a.atoms, generate_uniform_atoms(2, 3, seed=7).atoms)
-
-
-class TestL1BallAtoms:
-    def test_one_dimensional(self):
-        atoms = l1_ball_atoms(1, 2.0)
-        assert np.array_equal(atoms.atoms, [[2.0], [-2.0]])
-
-    def test_two_dimensional(self):
-        atoms = l1_ball_atoms(2, 1.0)
-        assert np.array_equal(
-            atoms.atoms, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
-        )
-
-    def test_count_is_2n(self):
-        assert l1_ball_atoms(3, 0.5).m == 6
-
-    def test_radius_validated(self):
-        with pytest.raises(ValueError):
-            l1_ball_atoms(2, 0.0)
-
-    @pytest.mark.parametrize("n", [2.5, True, 2.0, 0])
-    def test_n_must_be_a_positive_integer(self, n):
-        with pytest.raises(ValueError, match="n must be an integer >= 1"):
-            l1_ball_atoms(n, 1.0)
-
-    def test_numpy_integer_n(self):
-        assert np.array_equal(l1_ball_atoms(np.int64(2), 1.0).atoms, l1_ball_atoms(2, 1.0).atoms)
 
 
 class TestRandomVertexStart:

@@ -96,6 +96,16 @@ class TestRun:
     def test_missing_manifest_is_usage_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
+    def test_out_that_names_a_file_is_usage_error(self, tmp_path, capsys):
+        # mkdir raised FileExistsError, a traceback with exit 1, the failed-run code
+        manifest = write_manifest(tmp_path / "suite.json")
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        for target in (out, out / "sub"):
+            assert cli.main(["run", "--config", str(manifest), "--out", str(target)]) == 2
+            assert f"cannot make --out {target} a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
     def test_full_catalog_run_produces_25_rows(self, tmp_path):
         manifest = tmp_path / "suite.json"
         manifest.write_text(json.dumps({"pairs": [[10, 200]], "seeds": [0], "solvers": ["ord"]}))
@@ -401,6 +411,14 @@ class TestProfile:
         assert "--tau must be in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_that_names_a_file_is_usage_error(self, tmp_path, capsys):
+        traces = make_trace_dir(tmp_path, {("p1", "s1"): 5})
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert cli.main(["profile", "--traces", str(traces), "--out", str(out)]) == 2
+        assert f"cannot make --out {out} a directory" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
     def test_rising_best_f_names_the_file(self, tmp_path, capsys):
         traces = make_trace_dir(tmp_path, {("p1", "s1"): 5})
         (traces / "p1__s1.csv").write_text("eval,f,best_f\n1,2,2\n2,1,3\n")
@@ -556,6 +574,17 @@ class TestSuiteConfig:
             args = (10, 20, 0) if entry == "make_problem" else (10,)
             with pytest.raises(ValueError, match="unknown function 'nope'"):
                 getattr(bench, entry)("nope", *args)
+
+    @pytest.mark.parametrize(
+        "key, value", [("pairs", {"a": 1}), ("functions", "power"), ("seeds", "01"), ("solvers", "ord")]
+    )
+    def test_list_keys_need_a_json_list(self, tmp_path, capsys, key, value):
+        # tuple() split a string or an object into its characters or keys, so
+        # "power" failed as unknown function 'p'
+        manifest = write_manifest(tmp_path / "suite.json", **{key: value})
+        assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key!r} must be a JSON list, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unparseable_json(self, tmp_path):
         path = tmp_path / "suite.json"

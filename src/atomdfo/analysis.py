@@ -12,8 +12,8 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .core import BudgetedObjective, DfSimplexConfig, ZERO_TOL
-from .dfsimplex import df_simplex_solve, line_search
+from .core import BudgetedObjective, ZERO_TOL
+from .dfsimplex import GAMMA, df_simplex_solve, line_search
 
 
 def kkt_gap(g: np.ndarray, y: np.ndarray) -> float:
@@ -288,9 +288,8 @@ def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> Prop
         b = float(rng.normal())
         phi = BudgetedObjective(lambda y, c=c, b=b: float(c @ y + b))
         y0 = random_simplex_point(rng, m, int(rng.integers(0, m)))
-        cfg = DfSimplexConfig(epsilon=1e-3)
-        res = df_simplex_solve(phi, y0, cfg)
-        d = poll_gradient(phi, res.y, res.f, cfg.epsilon) - c
+        res = df_simplex_solve(phi, y0, 1e-3)
+        d = poll_gradient(phi, res.y, res.f, 1e-3) - c
         margins.append(1e-8 - float(np.max(np.abs(d - d.mean()))))
     return _verdict("simplex-grad-affine", trials, margins)
 
@@ -300,15 +299,15 @@ def check_stationarity_bound(
     rng: np.random.Generator,
     gap: Callable[[np.ndarray, np.ndarray], float] = kkt_gap,
 ) -> PropertyReport:
-    """Solver output satisfies kkt_gap <= 2*sqrt(2)*(m-1)*(2L+gamma)*epsilon."""
-    cfg = DfSimplexConfig(epsilon=1e-4)
+    """Solver output satisfies kkt_gap <= 2*sqrt(2)*(m-1)*(2L+GAMMA)*epsilon at epsilon = 1e-4."""
+    epsilon = 1e-4
     margins = []
     for _ in range(trials):
         m = int(rng.integers(3, 9))
         phi, grad, L = _random_quadratic(rng, m, scale=float(rng.uniform(0.5, 10.0)))
         y0 = random_simplex_point(rng, m, 0)
-        res = df_simplex_solve(phi, y0, cfg)
-        bound = 2.0 * np.sqrt(2.0) * (m - 1) * (2.0 * L + cfg.gamma) * cfg.epsilon
+        res = df_simplex_solve(phi, y0, epsilon)
+        bound = 2.0 * np.sqrt(2.0) * (m - 1) * (2.0 * L + GAMMA) * epsilon
         margins.append(bound - gap(grad(res.y), res.y))
     return _verdict("stationarity-bound", trials, margins)
 

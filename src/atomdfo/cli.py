@@ -20,14 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bench, profiles
-from .core import (
-    BudgetedObjective,
-    DfSimplexConfig,
-    OrdConfig,
-    ZERO_TOL,
-    require_integer,
-    weights_point,
-)
+from .core import BudgetedObjective, OrdConfig, ZERO_TOL, require_integer, weights_point
 from .dfsimplex import df_simplex_solve
 from .ord import ord_solve
 
@@ -59,20 +52,28 @@ def _integer_flag(flag: str, value, low: int) -> int:
         raise UsageError(f"{flag} must be at least {low} and an integer, got {value!r}") from None
 
 
-def _ord_config(options: Dict) -> OrdConfig:
-    opts = dict(options)
-    if "rng_seed" in opts:
-        raise ValueError("ord.rng_seed is not an option: each run uses its manifest seed")
-    inner = DfSimplexConfig(**opts.pop("inner", {}))
-    return OrdConfig(inner=inner, **opts)
+def _ord_config(options) -> OrdConfig:
+    """The ``ord`` object's options; each run's rng_seed is its manifest seed."""
+    if not isinstance(options, dict):
+        raise ValueError(f"'ord' must be a JSON object, got {options!r}")
+    known = ["eps0", "eps_decay", "epsilon"]
+    unknown = sorted(set(options) - set(known))
+    if unknown:
+        raise ValueError(f"unknown ord options {unknown}; known: {known}")
+    return OrdConfig(**options)
+
+
+def _pair(entry) -> Tuple:
+    if not isinstance(entry, list):
+        raise ValueError(f"invalid pair {entry!r}: a pair is [n, m]")
+    return tuple(entry)
 
 
 # how from_json turns a manifest value into its field; the other lists become tuples
 _FROM_JSON = {
-    "pairs": lambda pairs: tuple(map(tuple, pairs)),
+    "pairs": lambda pairs: tuple(map(_pair, pairs)),
     "budget_factor": lambda factor: factor,
     "ord": _ord_config,
-    "dfsimplex": lambda options: DfSimplexConfig(**options),
 }
 
 
@@ -90,7 +91,6 @@ class SuiteConfig:
     solvers: Tuple[str, ...] = ("ord",)
     budget_factor: int = 100
     ord: OrdConfig = field(default_factory=OrdConfig)
-    dfsimplex: DfSimplexConfig = field(default_factory=DfSimplexConfig)
 
     def __post_init__(self):
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -126,6 +126,8 @@ class SuiteConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read manifest {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise UsageError(f"bad manifest {path}: must be a JSON object, got {raw!r}")
         try:
             unknown = sorted(set(raw) - {f.name for f in fields(cls)})
             if unknown:
@@ -134,7 +136,7 @@ class SuiteConfig:
                 if not isinstance(raw.get(key, []), list):
                     raise UsageError(f"bad manifest {path}: {key!r} must be a JSON list, got {raw[key]!r}")
             return cls(**{key: _FROM_JSON.get(key, tuple)(value) for key, value in raw.items()})
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"bad manifest {path}: {exc}") from exc
 
 
@@ -157,7 +159,8 @@ def run_one(name: str, n: int, m: int, seed: int, solver: str, suite: SuiteConfi
         y0 = np.zeros(m)
         y0[problem.start_id] = 1.0
         phi = lambda yv: objective(weights_point(yv, problem.atoms.atoms))  # noqa: E731
-        result = df_simplex_solve(phi, y0, suite.dfsimplex)
+        # one final tolerance for both solvers
+        result = df_simplex_solve(phi, y0, suite.ord.epsilon)
         weights = result.y
     else:
         raise UsageError(f"unknown solver {solver!r}")

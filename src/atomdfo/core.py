@@ -1,11 +1,11 @@
-"""Shared domain types: atom sets, simplex points, budgeted objectives, solver configs."""
+"""Shared domain types: atom sets, simplex points, budgeted objectives, the ORD config."""
 from __future__ import annotations
 
 import itertools
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -183,51 +183,29 @@ def _require_between(config, hi: float, *names: str) -> None:
 
 
 @dataclass(frozen=True)
-class DfSimplexConfig:
-    """Parameters of the direct-search simplex solver.
-
-    epsilon is both the stepsize floor and the stopping tolerance; alpha0 is
-    broadcast to every coordinate's initial stepsize.
-    """
-
-    theta: float = 0.5
-    gamma: float = 1e-6
-    delta: float = 0.5
-    alpha0: float = 1.0
-    epsilon: float = 1e-4
-
-    def __post_init__(self):
-        _require_between(self, 1.0, "theta", "delta")
-        _require_between(self, math.inf, "gamma", "alpha0", "epsilon")
-
-
-@dataclass(frozen=True)
 class OrdConfig:
-    """Parameters of the outer optimize/refine/drop loop.
+    """The outer loop's tolerance schedule and refine seed.
 
-    The inner-solver tolerance follows eps_k = max(inner.epsilon, eps0 *
-    eps_decay**k), floored at ``inner.epsilon``. gamma and theta are
-    independent of the inner solver's.
+    The inner-solver tolerance follows eps_k = max(epsilon, eps0 *
+    eps_decay**k), so ``epsilon`` is the schedule's floor and the final
+    tolerance. The step parameters are constants of atomdfo.dfsimplex and
+    atomdfo.ord.
     """
 
     # A slow decay beats aggressive tightening under tight budgets: early
     # inner solves stay loose and the saved evaluations go to refine sweeps.
     eps0: float = 1e-1
     eps_decay: float = 0.85
-    mu0: float = 0.5
-    gamma: float = 1e-6
-    theta: float = 0.5
-    stop_factor: float = 1e-4
+    epsilon: float = 1e-4
     rng_seed: Optional[int] = None
-    inner: DfSimplexConfig = field(default_factory=DfSimplexConfig)
 
     def __post_init__(self):
-        _require_between(self, 1.0, "eps_decay", "mu0", "theta")
-        _require_between(self, math.inf, "eps0", "gamma", "stop_factor")
-        if self.inner.epsilon > self.eps0:
-            raise ValueError("inner.epsilon cannot exceed eps0")
+        _require_between(self, 1.0, "eps_decay")
+        _require_between(self, math.inf, "eps0", "epsilon")
+        if self.epsilon > self.eps0:
+            raise ValueError("epsilon cannot exceed eps0")
         if self.rng_seed is not None:
             require_integer("rng_seed", self.rng_seed)
 
     def eps_at(self, k: int) -> float:
-        return max(self.inner.epsilon, self.eps0 * self.eps_decay**k)
+        return max(self.epsilon, self.eps0 * self.eps_decay**k)

@@ -22,7 +22,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BudgetExhausted, DfSimplexConfig, exchange_point, is_simplex_point
+from .core import BudgetExhausted, exchange_point, is_simplex_point
+
+# The paper's step parameters; only the tolerance epsilon is an argument.
+GAMMA = 1e-6  # sufficient-decrease coefficient
+DELTA = 0.5  # an accepted step expands by 1/DELTA
+THETA = 0.5  # a failed search shrinks its stepsize by THETA
+ALPHA0 = 1.0  # every coordinate's initial stepsize
 
 
 class StopReason(Enum):
@@ -113,20 +119,20 @@ def line_search(
 def df_simplex_iterate(
     state: DfSimplexState,
     phi: Callable[[np.ndarray], float],
-    cfg: DfSimplexConfig,
+    epsilon: float,
 ) -> DfSimplexState:
     """One outer iteration: pivot, sweep of line searches, stepsize updates.
 
-    ``stop`` is BUDGET when a probe is refused, with the partially updated
-    state returned so the caller can stop gracefully, and TOLERANCE when no
-    step was accepted and every stepsize began at the floor, or there is no
+    epsilon is both the stepsize floor and the stopping tolerance. ``stop``
+    is BUDGET when a probe is refused, with the partially updated state
+    returned so the caller can stop gracefully, and TOLERANCE when no step
+    was accepted and every stepsize began at the floor, or there is no
     exchange direction at all (m == 1).
     """
     y = state.y
     m = len(y)
     # stepsizes on Python floats: the same IEEE operations as on float64 entries
     ah = state.alpha_hat.tolist()
-    gamma, delta, theta, eps = cfg.gamma, cfg.delta, cfg.theta, cfg.epsilon
     j = choose_pivot(y)
 
     z = y.copy()
@@ -141,10 +147,10 @@ def df_simplex_iterate(
             continue
         if z_j <= 0.0 and z.item(i) <= 0.0:
             # both feasibility bounds are zero: the search would make no probe
-            new_ah[i] = max(theta * ah[i], eps)
+            new_ah[i] = max(THETA * ah[i], epsilon)
             continue
         try:
-            out = line_search(phi, z, f_z, i, j, ah[i], gamma, delta)
+            out = line_search(phi, z, f_z, i, j, ah[i], GAMMA, DELTA)
         except BudgetExhausted:
             stop = StopReason.BUDGET
             break
@@ -152,18 +158,18 @@ def df_simplex_iterate(
             # Floor the success update too: the feasibility bound can truncate
             # the accepted step below epsilon, and alpha_hat >= epsilon must
             # hold at all times for the stopping condition to stay reachable.
-            new_ah[i] = max(out.alpha, eps)
+            new_ah[i] = max(out.alpha, epsilon)
             z, f_z = out.z, out.f_new
             z_j = z.item(j)
             moved = True
         else:
-            new_ah[i] = max(theta * ah[i], eps)
+            new_ah[i] = max(THETA * ah[i], epsilon)
 
     if stop is None:
-        if not moved and (m == 1 or all(a == eps for a in ah)):
+        if not moved and (m == 1 or all(a == epsilon for a in ah)):
             stop = StopReason.TOLERANCE
         # min of every updated stepsize and the old pivot one (the sweep skips j)
-        new_ah[j] = max(min(new_ah), eps)
+        new_ah[j] = max(min(new_ah), epsilon)
 
     return DfSimplexState(
         y=z,
@@ -190,25 +196,24 @@ def final_poll(y: np.ndarray, epsilon: float) -> np.ndarray:
 def df_simplex_solve(
     phi: Callable[[np.ndarray], float],
     y0: np.ndarray,
-    cfg: DfSimplexConfig,
+    epsilon: float,
     f0: Optional[float] = None,
 ) -> DfSimplexState:
     """Run the direct search from y0 until the tolerance or the budget stops it.
 
+    epsilon, in (0, inf), is the stepsize floor and the stopping tolerance.
     ``f0`` is an optional cached value of phi(y0); when omitted, one
     evaluation is spent up front. Every probe costs exactly one evaluation.
     """
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be in (0, inf), got {epsilon}")
     y0 = np.asarray(y0, dtype=float).copy()
     if not is_simplex_point(y0):
         raise ValueError(f"starting point {y0!r} is not in the unit simplex")
     if f0 is None:
         f0 = phi(y0)
 
-    state = DfSimplexState(
-        y=y0,
-        f=float(f0),
-        alpha_hat=np.full(len(y0), float(cfg.alpha0)),
-    )
+    state = DfSimplexState(y0, float(f0), np.full(len(y0), ALPHA0))
     while state.stop is None:
-        state = df_simplex_iterate(state, phi, cfg)
+        state = df_simplex_iterate(state, phi, epsilon)
     return state

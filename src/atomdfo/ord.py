@@ -4,10 +4,13 @@ Each outer iteration approximately minimizes over the hull of the current
 atom subset (barycentric direct search), then tries to add one atom that
 yields sufficient decrease along the segment toward it, then removes
 zero-weight atoms that a sample-based gradient sign test does not keep.
+
+Refine reuses the inner solver's constants: dfsimplex.GAMMA as its
+sufficient-decrease coefficient and dfsimplex.THETA as the shrink of mu_hat.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
@@ -24,7 +27,10 @@ from .core import (
     weights_point,
 )
 from .dfsimplex import StopReason as InnerStop
-from .dfsimplex import df_simplex_solve, final_poll
+from .dfsimplex import GAMMA, THETA, df_simplex_solve, final_poll
+
+MU0 = 0.5  # the initial refine step mu_hat
+STOP_FACTOR = 1e-4  # converged once mu_hat <= STOP_FACTOR / farthest inactive atom
 
 
 # Refine builds trial points REFINE_BLOCK rows at a time: a sweep that succeeds
@@ -256,7 +262,7 @@ def ord_solve(
 
     Stops on budget exhaustion (returning the best point reached), or, once
     the tolerance schedule has bottomed out, at the first iteration where the
-    refine test fails and mu_hat has decayed below stop_factor / max distance
+    refine test fails and mu_hat has decayed below STOP_FACTOR / max distance
     to an inactive atom; with every atom active the run instead ends at the
     first floor-tolerance iteration that changes nothing. ``sink``, when given,
     receives one OrdTraceRecord per outer iteration; without it none is built.
@@ -284,7 +290,7 @@ def ord_solve(
     # f_x is the objective's value at x_f, the point it was evaluated at
     x_f = atoms.atoms[start_atom_id].copy()
     f_x = objective(x_f)
-    mu_hat = cfg.mu0
+    mu_hat = MU0
 
     def result(x_out, f_out, ids, w, k, stop):
         # long runs accumulate ~ulp-per-accepted-step drift in the weight sum;
@@ -305,8 +311,7 @@ def ord_solve(
         eps_k = cfg.eps_at(k)
         A_k = atoms.atoms[active]  # ids ORD built itself, so no per-id check
         phi = lambda yv: objective(weights_point(yv, A_k))  # noqa: E731 - rebound every iteration
-        inner_cfg = replace(cfg.inner, epsilon=eps_k)
-        inner = df_simplex_solve(phi, y, inner_cfg, f0=f_x)
+        inner = df_simplex_solve(phi, y, eps_k, f0=f_x)
         y_bar, f_bar = inner.y, inner.f
         x_bar = weights_point(y_bar, A_k)
         if f_bar != f_x:
@@ -328,7 +333,7 @@ def ord_solve(
         inactive_mask[active] = False
         inactive = np.flatnonzero(inactive_mask)
         refine = refine_phase(
-            objective, x_bar, f_bar, atoms, inactive, mu_hat, cfg.gamma, rng
+            objective, x_bar, f_bar, atoms, inactive, mu_hat, GAMMA, rng
         )
 
         refine_pair = (refine.atom_id, mu_hat) if refine.found else None
@@ -346,7 +351,7 @@ def ord_solve(
             mu_next = mu_hat
         else:
             f_next = f_bar
-            mu_next = cfg.theta * mu_hat
+            mu_next = THETA * mu_hat
             if refine.budget_exhausted:
                 return result(x_f, f_next, new_active, y_next, k + 1, OrdStop.BUDGET)
             if len(inactive) == 0:
@@ -354,15 +359,15 @@ def ord_solve(
                 # is a fixpoint only once the tolerance schedule has bottomed
                 # out, nothing is droppable, and the inner solve at the floor
                 # tolerance accepted no move.
-                if not dropped and eps_k <= cfg.inner.epsilon and f_bar == f_x:
+                if not dropped and eps_k <= cfg.epsilon and f_bar == f_x:
                     return result(x_f, f_next, new_active, y_next, k + 1, OrdStop.STALLED)
-            elif eps_k <= cfg.inner.epsilon:
+            elif eps_k <= cfg.epsilon:
                 # A converged verdict must carry the final-tolerance inner
                 # certificate, so the mu_hat rule only applies once the
                 # tolerance schedule has bottomed out.
                 max_dist = farthest_distance(atoms, inactive, x_bar)
                 # max_dist == 0 means every inactive atom sits at x_bar already
-                if max_dist == 0.0 or mu_hat <= cfg.stop_factor / max_dist:
+                if max_dist == 0.0 or mu_hat <= STOP_FACTOR / max_dist:
                     return result(x_f, f_next, new_active, y_next, k + 1, OrdStop.CONVERGED)
 
         active, y, f_x, mu_hat = new_active, y_next, f_next, mu_next

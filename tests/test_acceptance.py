@@ -20,8 +20,8 @@ from atomdfo.analysis import (
     check_simplex_gradient_affine,
     kkt_gap,
 )
-from atomdfo.core import AtomSet, DfSimplexConfig, OrdConfig
-from atomdfo.dfsimplex import df_simplex_solve
+from atomdfo.core import AtomSet, OrdConfig
+from atomdfo.dfsimplex import GAMMA, df_simplex_solve
 from atomdfo.ord import ord_solve
 
 SEEDS = (0, 1, 2)
@@ -103,7 +103,7 @@ def test_criterion_2_ord_dominates_at_high_atom_count(suite_runs):
 
 def test_criterion_3_stationarity_bound():
     rng = np.random.default_rng(2024)
-    cfg = DfSimplexConfig(epsilon=1e-4)
+    epsilon = 1e-4
     violations = 0
     worst_ratio = 0.0
     for _ in range(20):
@@ -114,9 +114,9 @@ def test_criterion_3_stationarity_bound():
         L = float(np.linalg.eigvalsh(Q).max())
         phi = lambda y, Q=Q, c=c: float(0.5 * y @ Q @ y + c @ y)
         y0 = rng.dirichlet(np.ones(m))
-        res = df_simplex_solve(phi, y0, cfg)
+        res = df_simplex_solve(phi, y0, epsilon)
         gap = kkt_gap(Q @ res.y + c, res.y)
-        bound = 2.0 * np.sqrt(2.0) * (m - 1) * (2.0 * L + cfg.gamma) * cfg.epsilon
+        bound = 2.0 * np.sqrt(2.0) * (m - 1) * (2.0 * L + GAMMA) * epsilon
         worst_ratio = max(worst_ratio, gap / bound)
         if gap > bound:
             violations += 1

@@ -76,16 +76,16 @@ class TestRun:
         assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
 
     def test_bad_solver_options_rejected_up_front(self, tmp_path, capsys):
-        manifest = write_manifest(tmp_path / "suite.json", ord={"gamma": -1.0})
+        manifest = write_manifest(tmp_path / "suite.json", ord={"eps_decay": -1.0})
         assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
-        assert "gamma" in capsys.readouterr().err
+        assert "eps_decay" in capsys.readouterr().err
 
     def test_solver_options_change_the_run(self, tmp_path):
         base = write_manifest(tmp_path / "a.json", functions=["power"])
         tweaked = write_manifest(
             tmp_path / "b.json",
             functions=["power"],
-            ord={"mu0": 0.9, "inner": {"delta": 0.3, "epsilon": 1e-3}},
+            ord={"eps_decay": 0.5, "epsilon": 1e-3},
         )
         out_a, out_b = tmp_path / "oa", tmp_path / "ob"
         assert cli.main(["run", "--config", str(base), "--out", str(out_a)]) == 0
@@ -485,10 +485,11 @@ class TestSuiteConfig:
             {"pairs": [[0, 5]]},
             {"solvers": ["nope"]},
             {"budget_factor": 0},
-            {"dfsimplex": {"tau": 0.5}},
-            {"dfsimplex": {"shuffle_directions": True}},
-            {"ord": {"inner": {"rng_seed": 1}}},
-            {"ord": {"inner": {"epsilon": 0.3}}},
+            # DF-SIMPLEX runs at ord.epsilon, and the step parameters are constants
+            {"dfsimplex": {"epsilon": 1e-3}},
+            {"ord": {"mu0": 0.9}},
+            {"ord": {"inner": {"epsilon": 1e-3}}},
+            {"ord": {"epsilon": 0.3}},
             {"ord": {"memoize": True}},
             {"functions": []},
             {"seeds": []},
@@ -512,11 +513,11 @@ class TestSuiteConfig:
             {"budget_factor": 20.0},
             {"budget_factor": "20"},
             # json reads the NaN and Infinity tokens as floats
-            {"dfsimplex": {"epsilon": float("nan"), "gamma": float("nan")}},
-            {"ord": {"eps0": float("nan"), "stop_factor": float("nan")}},
-            {"ord": {"inner": {"alpha0": float("inf")}}},
+            {"ord": {"epsilon": float("nan")}},
+            {"ord": {"eps0": float("nan")}},
+            {"ord": {"epsilon": float("inf")}},
             {"ord": {"drop_rule": "bogus"}},
-            {"dfsimplex": {"gamma": float("-inf")}},
+            {"ord": {"eps_decay": float("-inf")}},
             # ORD has one drop rule, so the key that named one is unknown
             {"ord": {"drop_rule": "zero_weight"}},
         ],
@@ -524,6 +525,27 @@ class TestSuiteConfig:
     def test_invalid_manifest_fields(self, tmp_path, overrides):
         manifest = write_manifest(tmp_path / "suite.json", **overrides)
         assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "must be a JSON object"),
+            ("[1, 2]", "must be a JSON object"),
+            ('{"pairs": [[2, 6]], "ord": []}', "'ord' must be a JSON object"),
+            ('{"pairs": [[2, 6]], "ord": [["eps0", 0.2]]}', "'ord' must be a JSON object"),
+            ('{"pairs": ["ab"]}', "invalid pair 'ab'"),
+            ('{"pairs": [{"n": 2, "m": 20}]}', "invalid pair {'n': 2, 'm': 20}"),
+            ('{"pairs": [[2, 6]], "dfsimplex": {"epsilon": 1e-3}}', "unknown keys ['dfsimplex']"),
+            ('{"pairs": [[2, 6]], "ord": {"inner": {}}}', "unknown ord options ['inner']"),
+            ('{"pairs": [[2, 6]], "ord": {"mu0": 0.9}}', "unknown ord options ['mu0']"),
+        ],
+    )
+    def test_bad_manifest_names_the_key_or_entry(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "suite.json"
+        manifest.write_text(text)
+        assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

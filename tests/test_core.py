@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import atomdfo.dfsimplex
+import atomdfo.ord
 from atomdfo.core import (
     AtomSet,
     BudgetedObjective,
     BudgetExhausted,
-    DfSimplexConfig,
     NEG_CLAMP,
     NonFiniteValue,
     OrdConfig,
@@ -19,6 +20,7 @@ from atomdfo.core import (
     require_integer,
     weights_point,
 )
+from atomdfo.dfsimplex import df_simplex_solve
 
 
 @pytest.mark.parametrize(
@@ -390,50 +392,40 @@ class TestSimplexWeights:
 class TestConfigs:
     @pytest.mark.parametrize(
         "kwargs",
+        # with f0 cached and without: a bad tolerance is refused before any evaluation
         [
-            {"theta": 0.0},
-            {"delta": 0.0},
-            {"theta": 1.0},
-            {"gamma": 0.0},
-            {"delta": 1.0},
-            {"alpha0": 0.0},
-            {"epsilon": -1.0},
-            # NaN fails every comparison, and no stepsize or tolerance is infinite
-            {"gamma": math.nan},
-            {"alpha0": math.nan},
-            {"epsilon": math.nan},
-            {"theta": math.nan},
-            {"delta": math.nan},
-            {"gamma": math.inf},
-            {"alpha0": math.inf},
-            {"epsilon": math.inf},
-            {"epsilon": -math.inf},
+            {"epsilon": epsilon, **f0}
+            for f0 in ({}, {"f0": 1.0})
+            # NaN fails every comparison, and no tolerance is infinite
+            for epsilon in (0.0, -0.0, 0, -1.0, math.nan, np.float64(math.nan), math.inf, -math.inf)
         ],
     )
     def test_dfsimplex_config_ranges(self, kwargs):
-        with pytest.raises(ValueError):
-            DfSimplexConfig(**kwargs)
+        calls = []
+        with pytest.raises(ValueError, match="epsilon"):
+            df_simplex_solve(lambda y: calls.append(y) or 0.0, np.array([0.5, 0.5]), **kwargs)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"eps0": 0.0},
             {"eps_decay": 1.0},
-            {"inner": DfSimplexConfig(epsilon=0.2), "eps0": 0.1},
-            {"mu0": 1.0},
-            {"theta": 0.0},
-            {"stop_factor": 0.0},
-            {"inner": DfSimplexConfig(epsilon=0.3)},
+            {"epsilon": 0.2, "eps0": 0.1},
+            {"eps_decay": 0.0},
+            {"epsilon": 0.0},
+            {"epsilon": -1.0},
+            {"epsilon": 0.3},
             {"eps0": math.nan},
-            {"gamma": math.nan},
-            {"stop_factor": math.nan},
+            {"epsilon": math.nan},
+            {"eps0": -1.0},
             {"eps_decay": math.nan},
-            {"mu0": math.nan},
+            {"eps_decay": -0.5},
             {"eps0": math.inf},
-            {"gamma": math.inf},
-            {"stop_factor": math.inf},
-            {"stop_factor": -math.inf},
-            {"theta": 1.0},
+            {"epsilon": math.inf},
+            {"eps_decay": math.inf},
+            {"epsilon": -math.inf},
+            {"eps_decay": 1.5},
             {"rng_seed": 1.5},
             {"rng_seed": -1},
             {"rng_seed": True},
@@ -455,21 +447,17 @@ class TestConfigs:
         assert OrdConfig(rng_seed=seed).rng_seed == seed
 
     def test_eps_schedule_decreasing_to_floor(self):
-        cfg = OrdConfig(eps0=0.1, eps_decay=0.5, inner=DfSimplexConfig(epsilon=1e-3))
+        cfg = OrdConfig(eps0=0.1, eps_decay=0.5, epsilon=1e-3)
         values = [cfg.eps_at(k) for k in range(12)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] == 1e-3
 
     def test_benchmark_protocol_defaults(self):
         # the acceptance results depend on these; change them deliberately
-        inner = DfSimplexConfig()
-        assert (inner.theta, inner.gamma, inner.delta) == (0.5, 1e-6, 0.5)
-        assert (inner.alpha0, inner.epsilon) == (1.0, 1e-4)
-        assert [f.name for f in fields(inner)] == ["theta", "gamma", "delta", "alpha0", "epsilon"]
-        outer = OrdConfig()
-        assert (outer.eps0, outer.eps_decay, outer.inner.epsilon) == (0.1, 0.85, 1e-4)
-        assert (outer.mu0, outer.gamma, outer.theta) == (0.5, 1e-6, 0.5)
-        assert outer.stop_factor == 1e-4
-        assert [f.name for f in fields(outer)] == [
-            "eps0", "eps_decay", "mu0", "gamma", "theta", "stop_factor", "rng_seed", "inner",
-        ]
+        inner, outer = atomdfo.dfsimplex, atomdfo.ord
+        assert (inner.GAMMA, inner.DELTA, inner.THETA, inner.ALPHA0) == (1e-6, 0.5, 0.5, 1.0)
+        # refine's sufficient-decrease coefficient and mu_hat shrink, then ORD's own
+        assert (outer.GAMMA, outer.THETA, outer.MU0, outer.STOP_FACTOR) == (1e-6, 0.5, 0.5, 1e-4)
+        cfg = OrdConfig()
+        assert [f.name for f in fields(cfg)] == ["eps0", "eps_decay", "epsilon", "rng_seed"]
+        assert (cfg.eps0, cfg.eps_decay, cfg.epsilon, cfg.rng_seed) == (0.1, 0.85, 1e-4, None)

@@ -11,7 +11,6 @@ from atomdfo.core import (
     AtomSet,
     BudgetExhausted,
     BudgetedObjective,
-    DfSimplexConfig,
     NonFiniteValue,
     OrdConfig,
     ZERO_TOL,
@@ -338,14 +337,14 @@ class TestPollGradient:
         for m in range(2, 7):
             c = rng.normal(size=m)
             objective = BudgetedObjective(lambda y, c=c: float(c @ y - 1.0))
-            res = df_simplex_solve(objective, np.eye(m)[0], DfSimplexConfig(epsilon=1e-3))
+            res = df_simplex_solve(objective, np.eye(m)[0], 1e-3)
             g = poll_gradient(objective, res.y, res.f, 1e-3)
             assert np.max(np.abs(_tangent(g - c))) <= 1e-8
 
     def test_empty_poll_reads_no_value(self):
         # m = 1: the poll is empty, and values[-0:] would be the whole ledger
         objective = BudgetedObjective(lambda y: 5.0)
-        res = df_simplex_solve(objective, np.array([1.0]), DfSimplexConfig(epsilon=1e-3))
+        res = df_simplex_solve(objective, np.array([1.0]), 1e-3)
         assert objective.eval_count > 0
         assert poll_gradient(objective, res.y, res.f, 1e-3).tolist() == [0.0]
 
@@ -442,7 +441,7 @@ class TestReexpressWeights:
 
 
 def test_farthest_distance_matches_per_atom_norms():
-    # exact equality: the stop test compares mu_hat against stop_factor / max_dist,
+    # exact equality: the stop test compares mu_hat against STOP_FACTOR / max_dist,
     # so the value must not move by an ulp from the per-atom formula
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -582,7 +581,7 @@ class TestOrdSolve:
             if prev.refined:
                 assert rec.mu_hat == prev.mu_hat
             else:
-                assert rec.mu_hat == pytest.approx(cfg.theta * prev.mu_hat)
+                assert rec.mu_hat == pytest.approx(atomdfo.ord.THETA * prev.mu_hat)
 
     def test_plain_callable_nan_raises(self):
         # NaN everywhere but at the atoms: the first refine probe gets NaN,
@@ -613,7 +612,7 @@ class TestOrdSolve:
             x = ord_solve(f, atoms, OrdConfig(rng_seed=0), 0).x
         else:
             phi = lambda y: f(y @ atoms.atoms)
-            y = df_simplex_solve(phi, np.array([1.0, 0.0, 0.0, 0.0]), DfSimplexConfig()).y
+            y = df_simplex_solve(phi, np.array([1.0, 0.0, 0.0, 0.0]), 1e-4).y
             x = y @ atoms.atoms
         assert np.linalg.norm(x - c) <= 1e-2
 
@@ -646,7 +645,7 @@ class TestOrdSolve:
         fits = []
         iterate = atomdfo.dfsimplex.df_simplex_iterate
 
-        def recording_iterate(state, phi, cfg):
+        def recording_iterate(state, phi, epsilon):
             calls = []
 
             def recorded(y):
@@ -654,7 +653,7 @@ class TestOrdSolve:
                 calls.append((y.copy(), value))
                 return value
 
-            out = iterate(state, recorded, cfg)
+            out = iterate(state, recorded, epsilon)
             if out.stop is StopReason.TOLERANCE:
                 last_sweep[:] = calls
             return out

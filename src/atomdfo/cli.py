@@ -13,7 +13,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import bench, profiles
 from .core import BudgetedObjective, OrdConfig, ZERO_TOL, require_integer, weights_point
 from .dfsimplex import df_simplex_solve
-from .ord import ord_solve
+from .ord import EPSILON, ord_solve
 
 SOLVER_NAMES = ("ord", "dfsimplex")
 
@@ -52,17 +52,6 @@ def _integer_flag(flag: str, value, low: int) -> int:
         raise UsageError(f"{flag} must be at least {low} and an integer, got {value!r}") from None
 
 
-def _ord_config(options) -> OrdConfig:
-    """The ``ord`` object's options; each run's rng_seed is its manifest seed."""
-    if not isinstance(options, dict):
-        raise ValueError(f"'ord' must be a JSON object, got {options!r}")
-    known = ["eps0", "eps_decay", "epsilon"]
-    unknown = sorted(set(options) - set(known))
-    if unknown:
-        raise ValueError(f"unknown ord options {unknown}; known: {known}")
-    return OrdConfig(**options)
-
-
 def _pair(entry) -> Tuple:
     if not isinstance(entry, list):
         raise ValueError(f"invalid pair {entry!r}: a pair is [n, m]")
@@ -73,7 +62,6 @@ def _pair(entry) -> Tuple:
 _FROM_JSON = {
     "pairs": lambda pairs: tuple(map(_pair, pairs)),
     "budget_factor": lambda factor: factor,
-    "ord": _ord_config,
 }
 
 
@@ -90,7 +78,6 @@ class SuiteConfig:
     seeds: Tuple[int, ...] = (0,)
     solvers: Tuple[str, ...] = ("ord",)
     budget_factor: int = 100
-    ord: OrdConfig = field(default_factory=OrdConfig)
 
     def __post_init__(self):
         unknown = [s for s in self.solvers if s not in SOLVER_NAMES]
@@ -152,7 +139,7 @@ def run_one(name: str, n: int, m: int, seed: int, solver: str, suite: SuiteConfi
     objective = BudgetedObjective(func.value, budget=problem.budget)
     start = time.perf_counter()
     if solver == "ord":
-        result = ord_solve(objective, problem.atoms, replace(suite.ord, rng_seed=seed), problem.start_id)
+        result = ord_solve(objective, problem.atoms, OrdConfig(rng_seed=seed), problem.start_id)
         weights = np.zeros(m)
         weights[list(result.weights.ids)] = result.weights.w
     elif solver == "dfsimplex":
@@ -160,7 +147,7 @@ def run_one(name: str, n: int, m: int, seed: int, solver: str, suite: SuiteConfi
         y0[problem.start_id] = 1.0
         phi = lambda yv: objective(weights_point(yv, problem.atoms.atoms))  # noqa: E731
         # one final tolerance for both solvers
-        result = df_simplex_solve(phi, y0, suite.ord.epsilon)
+        result = df_simplex_solve(phi, y0, EPSILON)
         weights = result.y
     else:
         raise UsageError(f"unknown solver {solver!r}")
@@ -330,6 +317,10 @@ def cmd_profile(trace_dir, out_dir, taus: Sequence[float]) -> int:
     bad = [tau for tau in taus if not 0.0 < tau < 1.0]
     if bad:
         raise UsageError(f"--tau must be in (0, 1), got {bad}")
+    # each tau's files are named by its %g text, so that text must differ between taus
+    names = [f"{tau:g}" for tau in taus]
+    if len(set(names)) < len(names):
+        raise UsageError(f"--tau names a value more than once: {names}")
     records = load_run_records(trace_dir)
     out = _make_out(out_dir)
     for tau in taus:

@@ -174,38 +174,12 @@ class BudgetedObjective:
         return value
 
 
-def _require_between(config, hi: float, *names: str) -> None:
-    """Each named field lies in the open interval (0, hi); NaN lies in none."""
-    for name in names:
-        value = getattr(config, name)
-        if not 0.0 < value < hi:
-            raise ValueError(f"{name} must be in (0, {hi:g}), got {value}")
-
-
 @dataclass(frozen=True)
 class OrdConfig:
-    """The outer loop's tolerance schedule and refine seed.
+    """ORD's refine seed; its tolerance schedule and step parameters are module constants."""
 
-    The inner-solver tolerance follows eps_k = max(epsilon, eps0 *
-    eps_decay**k), so ``epsilon`` is the schedule's floor and the final
-    tolerance. The step parameters are constants of atomdfo.dfsimplex and
-    atomdfo.ord.
-    """
-
-    # A slow decay beats aggressive tightening under tight budgets: early
-    # inner solves stay loose and the saved evaluations go to refine sweeps.
-    eps0: float = 1e-1
-    eps_decay: float = 0.85
-    epsilon: float = 1e-4
     rng_seed: Optional[int] = None
 
     def __post_init__(self):
-        _require_between(self, 1.0, "eps_decay")
-        _require_between(self, math.inf, "eps0", "epsilon")
-        if self.epsilon > self.eps0:
-            raise ValueError("epsilon cannot exceed eps0")
         if self.rng_seed is not None:
             require_integer("rng_seed", self.rng_seed)
-
-    def eps_at(self, k: int) -> float:
-        return max(self.epsilon, self.eps0 * self.eps_decay**k)

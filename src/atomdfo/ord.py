@@ -7,6 +7,8 @@ zero-weight atoms that a sample-based gradient sign test does not keep.
 
 Refine reuses the inner solver's constants: dfsimplex.GAMMA as its
 sufficient-decrease coefficient and dfsimplex.THETA as the shrink of mu_hat.
+The inner solve at outer iteration k runs to eps_k = max(EPSILON, EPS0 *
+EPS_DECAY**k), so EPSILON is the schedule's floor and the final tolerance.
 """
 from __future__ import annotations
 
@@ -31,6 +33,12 @@ from .dfsimplex import GAMMA, THETA, df_simplex_solve, final_poll
 
 MU0 = 0.5  # the initial refine step mu_hat
 STOP_FACTOR = 1e-4  # converged once mu_hat <= STOP_FACTOR / farthest inactive atom
+
+# A slow decay beats aggressive tightening under tight budgets: early
+# inner solves stay loose and the saved evaluations go to refine sweeps.
+EPS0 = 1e-1
+EPS_DECAY = 0.85
+EPSILON = 1e-4
 
 
 # Refine builds trial points REFINE_BLOCK rows at a time: a sweep that succeeds
@@ -308,7 +316,7 @@ def ord_solve(
 
     k = 0
     while True:
-        eps_k = cfg.eps_at(k)
+        eps_k = max(EPSILON, EPS0 * EPS_DECAY**k)
         A_k = atoms.atoms[active]  # ids ORD built itself, so no per-id check
         phi = lambda yv: objective(weights_point(yv, A_k))  # noqa: E731 - rebound every iteration
         inner = df_simplex_solve(phi, y, eps_k, f0=f_x)
@@ -359,9 +367,9 @@ def ord_solve(
                 # is a fixpoint only once the tolerance schedule has bottomed
                 # out, nothing is droppable, and the inner solve at the floor
                 # tolerance accepted no move.
-                if not dropped and eps_k <= cfg.epsilon and f_bar == f_x:
+                if not dropped and eps_k <= EPSILON and f_bar == f_x:
                     return result(x_f, f_next, new_active, y_next, k + 1, OrdStop.STALLED)
-            elif eps_k <= cfg.epsilon:
+            elif eps_k <= EPSILON:
                 # A converged verdict must carry the final-tolerance inner
                 # certificate, so the mu_hat rule only applies once the
                 # tolerance schedule has bottomed out.

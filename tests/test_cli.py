@@ -76,17 +76,16 @@ class TestRun:
         assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
 
     def test_bad_solver_options_rejected_up_front(self, tmp_path, capsys):
+        # ORD has no options left, so the key that held them is unknown
         manifest = write_manifest(tmp_path / "suite.json", ord={"eps_decay": -1.0})
         assert cli.main(["run", "--config", str(manifest), "--out", str(tmp_path / "o")]) == 2
-        assert "eps_decay" in capsys.readouterr().err
+        assert "unknown keys ['ord']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_solver_options_change_the_run(self, tmp_path):
+        # budget_factor is the manifest's one option a solver reads
         base = write_manifest(tmp_path / "a.json", functions=["power"])
-        tweaked = write_manifest(
-            tmp_path / "b.json",
-            functions=["power"],
-            ord={"eps_decay": 0.5, "epsilon": 1e-3},
-        )
+        tweaked = write_manifest(tmp_path / "b.json", functions=["power"], budget_factor=10)
         out_a, out_b = tmp_path / "oa", tmp_path / "ob"
         assert cli.main(["run", "--config", str(base), "--out", str(out_a)]) == 0
         assert cli.main(["run", "--config", str(tweaked), "--out", str(out_b)]) == 0
@@ -411,6 +410,17 @@ class TestProfile:
         assert "--tau must be in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("taus", [["0.1", "0.1000001"], ["0.1", "0.1", "0.1"], ["1e-3", "0.1", "0.001"]])
+    def test_taus_that_share_a_file_name(self, tmp_path, capsys, taus):
+        # files are named by the %g text, so the second tau overwrote the first's
+        traces = make_trace_dir(tmp_path, {("p1", "s1"): 5})
+        out = tmp_path / "profiles"
+        flags = [arg for tau in taus for arg in ("--tau", tau)]
+        assert cli.main(["profile", "--traces", str(traces), "--out", str(out), *flags]) == 2
+        names = [f"{float(tau):g}" for tau in taus]
+        assert f"--tau names a value more than once: {names}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_that_names_a_file_is_usage_error(self, tmp_path, capsys):
         traces = make_trace_dir(tmp_path, {("p1", "s1"): 5})
         out = tmp_path / "taken"
@@ -485,17 +495,19 @@ class TestSuiteConfig:
             {"pairs": [[0, 5]]},
             {"solvers": ["nope"]},
             {"budget_factor": 0},
-            # DF-SIMPLEX runs at ord.epsilon, and the step parameters are constants
+            # neither solver has options: the step parameters and ORD's
+            # tolerance schedule are constants, at no level of the manifest
             {"dfsimplex": {"epsilon": 1e-3}},
-            {"ord": {"mu0": 0.9}},
-            {"ord": {"inner": {"epsilon": 1e-3}}},
-            {"ord": {"epsilon": 0.3}},
-            {"ord": {"memoize": True}},
+            {"ord": {"eps_decay": 0.7}},
+            {"epsilon": 1e-3},
+            {"eps0": 0.2},
+            {"eps_decay": 0.7},
             {"functions": []},
             {"seeds": []},
             {"solvers": []},
-            {"ord": {"rng_seed": 1}},
-            {"ord": {"eps_min": 1e-4}},
+            # an empty `ord` is still a key, and each run's seed is its manifest seed
+            {"ord": {}},
+            {"rng_seed": 1},
             # an entry named twice would run twice and write one file twice
             {"solvers": ["ord", "ord"]},
             {"seeds": [0, 0]},
@@ -513,13 +525,12 @@ class TestSuiteConfig:
             {"budget_factor": 20.0},
             {"budget_factor": "20"},
             # json reads the NaN and Infinity tokens as floats
-            {"ord": {"epsilon": float("nan")}},
-            {"ord": {"eps0": float("nan")}},
-            {"ord": {"epsilon": float("inf")}},
-            {"ord": {"drop_rule": "bogus"}},
-            {"ord": {"eps_decay": float("-inf")}},
-            # ORD has one drop rule, so the key that named one is unknown
-            {"ord": {"drop_rule": "zero_weight"}},
+            {"budget_factor": float("nan")},
+            {"seeds": [float("nan")]},
+            {"budget_factor": float("inf")},
+            {"budget_factor": float("-inf")},
+            {"pairs": [[2, float("inf")]]},
+            {"seeds": [float("-inf")]},
         ],
     )
     def test_invalid_manifest_fields(self, tmp_path, overrides):
@@ -532,13 +543,20 @@ class TestSuiteConfig:
         [
             ("[]", "must be a JSON object"),
             ("[1, 2]", "must be a JSON object"),
-            ('{"pairs": [[2, 6]], "ord": []}', "'ord' must be a JSON object"),
-            ('{"pairs": [[2, 6]], "ord": [["eps0", 0.2]]}', "'ord' must be a JSON object"),
+            ('{"pairs": [[2, 6]], "ord": []}', "unknown keys ['ord']"),
+            ('{"pairs": [[2, 6]], "ord": [["eps0", 0.2]]}', "unknown keys ['ord']"),
             ('{"pairs": ["ab"]}', "invalid pair 'ab'"),
             ('{"pairs": [{"n": 2, "m": 20}]}', "invalid pair {'n': 2, 'm': 20}"),
             ('{"pairs": [[2, 6]], "dfsimplex": {"epsilon": 1e-3}}', "unknown keys ['dfsimplex']"),
-            ('{"pairs": [[2, 6]], "ord": {"inner": {}}}', "unknown ord options ['inner']"),
-            ('{"pairs": [[2, 6]], "ord": {"mu0": 0.9}}', "unknown ord options ['mu0']"),
+            ('{"pairs": [[2, 6]], "ord": {"inner": {}}}', "unknown keys ['ord']"),
+            ('{"pairs": [[2, 6]], "ord": {"mu0": 0.9}}', "unknown keys ['ord']"),
+            # the manifest README showed while ORD's schedule was settable
+            (
+                '{"pairs": [[10, 200]], "functions": ["arwhead", "power", "ext_rosenbrock"], '
+                '"seeds": [0, 1, 2], "solvers": ["ord", "dfsimplex"], "budget_factor": 100, '
+                '"ord": {"eps_decay": 0.7}}',
+                "unknown keys ['ord']",
+            ),
         ],
     )
     def test_bad_manifest_names_the_key_or_entry(self, tmp_path, capsys, text, message):

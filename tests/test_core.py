@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from atomdfo.core import (
     weights_point,
 )
 from atomdfo.dfsimplex import df_simplex_solve
+from atomdfo.ord import OrdStop
 
 
 @pytest.mark.parametrize(
@@ -409,23 +411,26 @@ class TestConfigs:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"eps0": 0.0},
-            {"eps_decay": 1.0},
-            {"epsilon": 0.2, "eps0": 0.1},
-            {"eps_decay": 0.0},
-            {"epsilon": 0.0},
-            {"epsilon": -1.0},
-            {"epsilon": 0.3},
-            {"eps0": math.nan},
-            {"epsilon": math.nan},
-            {"eps0": -1.0},
-            {"eps_decay": math.nan},
-            {"eps_decay": -0.5},
-            {"eps0": math.inf},
-            {"epsilon": math.inf},
-            {"eps_decay": math.inf},
-            {"epsilon": -math.inf},
-            {"eps_decay": 1.5},
+            # the tolerance schedule is atomdfo.ord's constants, not fields,
+            # so even the values it has are refused
+            {"eps0": 0.1},
+            {"eps_decay": 0.85},
+            {"epsilon": 1e-4},
+            {"eps0": 0.1, "eps_decay": 0.85, "epsilon": 1e-4, "rng_seed": 0},
+            # the seed follows require_integer: None or an integer >= 0
+            {"rng_seed": 2.0},
+            {"rng_seed": np.float64(3.0)},
+            {"rng_seed": np.bool_(True)},
+            {"rng_seed": False},
+            {"rng_seed": math.nan},
+            {"rng_seed": math.inf},
+            {"rng_seed": -math.inf},
+            {"rng_seed": np.int64(-1)},
+            {"rng_seed": "0"},
+            {"rng_seed": b"3"},
+            {"rng_seed": [3]},
+            {"rng_seed": 3 + 0j},
+            {"rng_seed": Fraction(3)},
             {"rng_seed": 1.5},
             {"rng_seed": -1},
             {"rng_seed": True},
@@ -433,7 +438,8 @@ class TestConfigs:
         ],
     )
     def test_ord_config_ranges(self, kwargs):
-        with pytest.raises(ValueError):
+        # a schedule name is an unknown field; a bad seed is a bad value
+        with pytest.raises(TypeError if set(kwargs) - {"rng_seed"} else ValueError):
             OrdConfig(**kwargs)
 
     @pytest.mark.parametrize("rule", ["bogus", "zero_weight", "gradient_filtered"])
@@ -446,11 +452,27 @@ class TestConfigs:
     def test_ord_config_seeds(self, seed):
         assert OrdConfig(rng_seed=seed).rng_seed == seed
 
-    def test_eps_schedule_decreasing_to_floor(self):
-        cfg = OrdConfig(eps0=0.1, eps_decay=0.5, epsilon=1e-3)
-        values = [cfg.eps_at(k) for k in range(12)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert values[-1] == 1e-3
+    def test_eps_schedule_decreasing_to_floor(self, monkeypatch):
+        # record the tolerance of every inner solve, as the tracer wraps it
+        outer, solve, tolerances = atomdfo.ord, atomdfo.ord.df_simplex_solve, []
+
+        def recording(phi, y, epsilon, f0=None):
+            tolerances.append(epsilon)
+            return solve(phi, y, epsilon, f0=f0)
+
+        monkeypatch.setattr(outer, "df_simplex_solve", recording)
+        # runs of 95 and 44 outer iterations; 0.1 * 0.85**k first reaches 1e-4 at k = 43
+        for n, m in [(2, 6), (4, 10)]:
+            tolerances.clear()
+            atoms = AtomSet(np.random.default_rng(0).uniform(0.0, 1.0, (m, n)))
+            center = np.full(n, 0.5)
+            res = outer.ord_solve(lambda x: float((x - center) @ (x - center)), atoms, OrdConfig(rng_seed=0), 0)
+            assert len(tolerances) == res.iterations >= 44
+            expected = [max(outer.EPSILON, outer.EPS0 * outer.EPS_DECAY**k) for k in range(res.iterations)]
+            assert [t.hex() for t in tolerances] == [e.hex() for e in expected]
+            assert tolerances[42] > outer.EPSILON == tolerances[43]
+            # the converged verdict carries the floor tolerance's certificate
+            assert res.stop is OrdStop.CONVERGED and tolerances[-1] == outer.EPSILON
 
     def test_benchmark_protocol_defaults(self):
         # the acceptance results depend on these; change them deliberately
@@ -458,6 +480,7 @@ class TestConfigs:
         assert (inner.GAMMA, inner.DELTA, inner.THETA, inner.ALPHA0) == (1e-6, 0.5, 0.5, 1.0)
         # refine's sufficient-decrease coefficient and mu_hat shrink, then ORD's own
         assert (outer.GAMMA, outer.THETA, outer.MU0, outer.STOP_FACTOR) == (1e-6, 0.5, 0.5, 1e-4)
-        cfg = OrdConfig()
-        assert [f.name for f in fields(cfg)] == ["eps0", "eps_decay", "epsilon", "rng_seed"]
-        assert (cfg.eps0, cfg.eps_decay, cfg.epsilon, cfg.rng_seed) == (0.1, 0.85, 1e-4, None)
+        # ORD's tolerance schedule; DF-SIMPLEX runs in `atomdfo run` at its floor
+        assert (outer.EPS0, outer.EPS_DECAY, outer.EPSILON) == (0.1, 0.85, 1e-4)
+        assert [f.name for f in fields(OrdConfig)] == ["rng_seed"]
+        assert OrdConfig().rng_seed is None

@@ -9,7 +9,7 @@ from .core import (
     SimplexWeights,
 )
 from .dfsimplex import DfSimplexState, LineSearchOutcome, StopReason, df_simplex_solve, line_search
-from .ord import OrdResult, OrdStop, PoisednessFailure, ord_solve
+from .ord import OrdResult, OrdStop, ord_solve
 
 __all__ = [
     "AtomSet",
@@ -21,7 +21,6 @@ __all__ = [
     "OrdConfig",
     "OrdResult",
     "OrdStop",
-    "PoisednessFailure",
     "SimplexWeights",
     "StopReason",
     "df_simplex_solve",

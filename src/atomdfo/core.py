@@ -6,7 +6,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,10 +69,6 @@ class AtomSet:
     @property
     def n(self) -> int:
         return self.atoms.shape[1]
-
-    def subset(self, ids: Sequence[int]) -> np.ndarray:
-        """Matrix of the atoms with the given ids, one per row, in id-list order."""
-        return self.atoms[[require_integer("atom id", i, 0, self.m) for i in ids]]
 
 
 @dataclass(frozen=True)

@@ -203,7 +203,8 @@ def df_simplex_solve(
 
     epsilon, in (0, inf), is the stepsize floor and the stopping tolerance.
     ``f0`` is an optional cached value of phi(y0); when omitted, one
-    evaluation is spent up front. Every probe costs exactly one evaluation.
+    evaluation is spent up front, and a BudgetExhausted it raises propagates.
+    Every probe costs exactly one evaluation.
     """
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be in (0, inf), got {epsilon}")

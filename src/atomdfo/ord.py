@@ -46,10 +46,6 @@ EPSILON = 1e-4
 REFINE_BLOCK = 64
 
 
-class PoisednessFailure(Exception):
-    """The sample set does not span enough directions for a gradient estimate."""
-
-
 class OrdStop(Enum):
     CONVERGED = "converged"
     BUDGET = "budget"
@@ -105,13 +101,12 @@ def refine_phase(
     atoms: AtomSet,
     candidates: Sequence[int],
     mu_hat: float,
-    gamma: float,
     rng: np.random.Generator,
 ) -> RefineOutcome:
     """Try the candidate atom ids in seeded random order, one evaluation each.
 
     A candidate a is accepted when f(x_bar + mu_hat*(a - x_bar)) improves on
-    f_bar by at least gamma*mu_hat**2, and strictly: that margin rounds away
+    f_bar by at least GAMMA*mu_hat**2, and strictly: that margin rounds away
     against a large f_bar, and a zero-decrease step could cycle with the drop
     rule. The first success wins. The seeded order, over positions in ``candidates``, is
     ``rng.permutation``, or, when more candidates than f's whole ``budget`` (if it has one)
@@ -129,7 +124,7 @@ def refine_phase(
         ids = ids[rng.choice(len(ids), budget + 1, replace=False)]
     else:
         ids = ids[rng.permutation(len(ids))]
-    threshold = f_bar - gamma * mu_hat * mu_hat
+    threshold = f_bar - GAMMA * mu_hat * mu_hat
     tried = 0
     for start in range(0, len(ids), REFINE_BLOCK):
         block = ids[start:start + REFINE_BLOCK]
@@ -158,8 +153,7 @@ def simplex_gradient(
     of the all-ones vector, so one more row along it with right-hand side 0
     pins that component to zero (rounding leaves the rows' sums slightly off
     zero, which a plain min-norm fit would amplify). The row is as long as the
-    longest sample row, so the rank test is relative to the samples' scale.
-    Raises PoisednessFailure when the samples span less than the tangent space.
+    longest sample row, so it weighs as much as the samples do.
     """
     y_bar = np.asarray(y_bar, dtype=float)
     m = len(y_bar)
@@ -167,10 +161,7 @@ def simplex_gradient(
     scale = np.linalg.norm(rows, axis=1).max(initial=0.0) or 1.0
     S_t = np.vstack([rows, np.full(m, scale / np.sqrt(m))])
     b = np.append(np.asarray(values, dtype=float) - f_bar, 0.0)
-    g, _, rank, _ = np.linalg.lstsq(S_t, b, rcond=None)
-    if rank < m:
-        raise PoisednessFailure(f"{len(rows)} samples span tangent rank {rank - 1} < {m - 1}")
-    return g
+    return np.linalg.lstsq(S_t, b, rcond=None)[0]
 
 
 def poll_gradient(
@@ -183,8 +174,9 @@ def poll_gradient(
 
     Makes no evaluation: a TOLERANCE stop at tolerance epsilon probed
     final_poll(y_bar, epsilon), so right after the solve those probes' values
-    are the last entries of the objective's ledger. Raises PoisednessFailure
-    as simplex_gradient does.
+    are the last entries of the objective's ledger. The poll holds the forward
+    probe y_bar + a(e_i - e_j) of every i != pivot j, at one step a > 0, so its
+    rows span the tangent space and the fit is determined.
     """
     points = final_poll(y_bar, epsilon)
     values = objective.values
@@ -268,7 +260,9 @@ def ord_solve(
 ) -> OrdResult:
     """Run the outer loop from a single starting atom.
 
-    Stops on budget exhaustion (returning the best point reached), or, once
+    Stops on budget exhaustion (returning the best point reached), except that
+    a budget already spent raises BudgetExhausted from the start atom's
+    evaluation, which leaves the objective's ``values`` unchanged; or, once
     the tolerance schedule has bottomed out, at the first iteration where the
     refine test fails and mu_hat has decayed below STOP_FACTOR / max distance
     to an inactive atom; with every atom active the run instead ends at the
@@ -281,8 +275,7 @@ def ord_solve(
     solves probe the active subset's hull, refine probes a segment toward an
     atom, and the drop rule refits the inner solve's final poll. It fits that
     gradient only on iterations where an active atom has zero weight, since
-    otherwise it drops nothing whatever the gradient is, and it drops by
-    weight alone when the fit raises PoisednessFailure.
+    otherwise it drops nothing whatever the gradient is.
 
     Evaluations are counted by one BudgetedObjective: ``f`` itself when it is
     one, else a budgetless wrapper around it. Either way a NaN/inf value raises
@@ -327,22 +320,17 @@ def ord_solve(
         if inner.stop is InnerStop.BUDGET:
             return result(x_f, f_bar, active, y_bar, k, OrdStop.BUDGET)
 
-        gradient = None  # None drops by the plain zero-weight rule
+        gradient = None
         # with no zero weight nothing is droppable whatever g is, so skip the fit
         if (y_bar <= ZERO_TOL).any():
-            try:
-                gradient = poll_gradient(objective, y_bar, f_bar, eps_k)
-            except PoisednessFailure:
-                pass
+            gradient = poll_gradient(objective, y_bar, f_bar, eps_k)
         dropped = drop_phase(active, y_bar, gradient)
 
         # ascending, so each seeded refine draw maps to the same atom id
         inactive_mask = np.ones(atoms.m, dtype=bool)
         inactive_mask[active] = False
         inactive = np.flatnonzero(inactive_mask)
-        refine = refine_phase(
-            objective, x_bar, f_bar, atoms, inactive, mu_hat, GAMMA, rng
-        )
+        refine = refine_phase(objective, x_bar, f_bar, atoms, inactive, mu_hat, rng)
 
         refine_pair = (refine.atom_id, mu_hat) if refine.found else None
         new_active, y_next = reexpress_weights(y_bar, active, refine_pair, dropped)

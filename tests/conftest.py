@@ -13,12 +13,10 @@ import atomdfo.ord  # noqa: E402 - needs the path above
 
 
 @contextlib.contextmanager
-def _forced_zero_weight_drop():
-    def failing_fit(*args):
-        raise atomdfo.ord.PoisednessFailure("forced: drop by weight alone")
-
+def _zero_weight_drop():
+    original = atomdfo.ord.drop_phase
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(atomdfo.ord, "poll_gradient", failing_fit)
+        mp.setattr(atomdfo.ord, "drop_phase", lambda active_ids, y_bar, g: original(active_ids, y_bar))
         yield
 
 
@@ -26,14 +24,14 @@ def _forced_zero_weight_drop():
 def zero_weight_drop():
     """A context manager under which ORD drops exactly its zero-weight atoms.
 
-    ORD falls back to that rule whenever its drop-gradient fit raises
-    PoisednessFailure, so inside the context every fit raises.
+    Inside it ORD's drop_phase ignores the fitted gradient. The fit makes no
+    evaluation and draws no random number, so only the dropped sets change.
     """
-    return _forced_zero_weight_drop
+    return _zero_weight_drop
 
 
 @pytest.fixture(params=["zero_weight", "gradient_filtered"])
 def drop_rule(request, zero_weight_drop):
-    """Runs a test once under each rule ORD drops by: its zero-weight fallback, then its own."""
+    """Runs a test once under the weight-only rule, patched in, then under ORD's own rule."""
     with zero_weight_drop() if request.param == "zero_weight" else contextlib.nullcontext():
         yield request.param

@@ -192,7 +192,7 @@ def _identified(runs):
 
 
 def test_criterion_6_identification(zero_weight_drop):
-    # ORD's zero-weight fallback, then its gradient-filtered rule
+    # the weight-only rule, patched in, then ORD's gradient-filtered rule
     margins, runs = _identification_runs((zero_weight_drop, contextlib.nullcontext))
     violations = sum(v for _, v in runs)
     entered_all = all(entered for entered, _ in runs)

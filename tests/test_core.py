@@ -65,24 +65,18 @@ class TestCombine:
     def test_vertex_weight(self):
         atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
         w = SimplexWeights(np.array([1.0, 0.0]), (0, 1))
-        assert np.array_equal(weights_point(w.w, atoms.subset(w.ids)), [0.0, 0.0])
+        assert np.array_equal(weights_point(w.w, atoms.atoms[list(w.ids)]), [0.0, 0.0])
 
     def test_midpoint(self):
         atoms = AtomSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
         w = SimplexWeights(np.array([0.5, 0.5]), (0, 1))
-        assert np.array_equal(weights_point(w.w, atoms.subset(w.ids)), [1.0, 0.0])
+        assert np.array_equal(weights_point(w.w, atoms.atoms[list(w.ids)]), [1.0, 0.0])
 
     def test_three_atom_combination(self):
         # hand dot product: 0.25*(1,1) + 0.25*(3,1) + 0.5*(1,5) = (1.5, 3.0)
         atoms = AtomSet(np.array([[1.0, 1.0], [3.0, 1.0], [1.0, 5.0]]))
         w = SimplexWeights(np.array([0.25, 0.25, 0.5]), (0, 1, 2))
-        assert np.allclose(weights_point(w.w, atoms.subset(w.ids)), [1.5, 3.0], atol=1e-15)
-
-    def test_shape_mismatch(self):
-        # weights naming an atom the set does not have
-        w = SimplexWeights(np.array([0.5, 0.5]), (0, 3))
-        with pytest.raises(ValueError, match="got 3"):
-            weights_point(w.w, AtomSet(np.eye(3)).subset(w.ids))
+        assert np.allclose(weights_point(w.w, atoms.atoms[list(w.ids)]), [1.5, 3.0], atol=1e-15)
 
     @given(st.integers(0, 10**9))
     def test_linearity(self, seed):
@@ -92,7 +86,7 @@ class TestCombine:
 
         def point(w):
             sw = SimplexWeights(w, tuple(range(m)))
-            return weights_point(sw.w, atoms.subset(sw.ids))
+            return weights_point(sw.w, atoms.atoms[list(sw.ids)])
 
         u = rng.dirichlet(np.ones(m))
         v = rng.dirichlet(np.ones(m))
@@ -310,40 +304,11 @@ class TestBudgetedObjectiveLedger:
 
 
 class TestAtomSet:
-    def test_subset_keeps_ids(self):
-        atoms = AtomSet(np.arange(12.0).reshape(4, 3))
-        sub = atoms.subset([3, 1])
-        assert np.array_equal(sub, [[9.0, 10.0, 11.0], [3.0, 4.0, 5.0]])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AtomSet(np.zeros((0, 2)))
         with pytest.raises(ValueError):
             AtomSet(np.array([[np.inf, 0.0]]))
-        for ids in ([2], [-1]):
-            with pytest.raises(ValueError, match=r"in \[0, 2\), got"):
-                AtomSet(np.eye(2)).subset(ids)
-
-    @pytest.mark.parametrize(
-        "ids",
-        [[True, False, True], [True], [0.9, 1.7], [1.0], np.array([0.0, 1.0]), ["0"], [None],
-         [1, True], [0, np.True_], [1, 2.0]],
-        ids=["bools", "bool", "fractions", "float", "float_array", "str", "none",
-             "int_and_bool", "int_and_numpy_bool", "int_and_float"],
-    )
-    def test_subset_refuses_non_integer_ids(self, ids):
-        # bools were read as ids 1 and 0, and floats were truncated; numpy built
-        # an integer array from [1, True] before each id was checked
-        with pytest.raises(ValueError, match="must be an integer"):
-            AtomSet(np.arange(6.0).reshape(3, 2)).subset(ids)
-
-    def test_subset_takes_numpy_and_empty_ids(self):
-        atoms = AtomSet(np.arange(6.0).reshape(3, 2))
-        assert np.array_equal(atoms.subset(np.array([2, 0], dtype=np.uint8)), [[4.0, 5.0], [0.0, 1.0]])
-        assert np.array_equal(atoms.subset([np.int64(1)]), [[2.0, 3.0]])
-        assert np.array_equal(atoms.subset([np.int64(1), 2]), [[2.0, 3.0], [4.0, 5.0]])
-        assert np.array_equal(atoms.subset(range(3)), atoms.atoms)
-        assert atoms.subset([]).shape == (0, 2)
 
     def test_dimensions(self):
         atoms = AtomSet(np.zeros((5, 3)))
@@ -388,7 +353,7 @@ class TestSimplexWeights:
     def test_point(self):
         atoms = AtomSet(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]))
         w = SimplexWeights(np.array([0.5, 0.5]), (1, 2))
-        assert np.allclose(weights_point(w.w, atoms.subset(w.ids)), [2.0, 2.0])
+        assert np.allclose(weights_point(w.w, atoms.atoms[list(w.ids)]), [2.0, 2.0])
 
 
 class TestConfigs:

@@ -17,10 +17,9 @@ from atomdfo.core import (
     is_simplex_point,
     weights_point,
 )
-from atomdfo.dfsimplex import StopReason, df_simplex_solve
+from atomdfo.dfsimplex import GAMMA, StopReason, df_simplex_solve, final_poll
 from atomdfo.ord import (
     OrdStop,
-    PoisednessFailure,
     RefineOutcome,
     drop_phase,
     farthest_distance,
@@ -38,14 +37,14 @@ class TestRefinePhase:
         # margin test alone would accept an equal value
         atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
         rng = np.random.default_rng(0)
-        out = refine_phase(lambda x: 1e10, np.zeros(2), 1e10, atoms, [1], 0.1, 1e-6, rng)
+        out = refine_phase(lambda x: 1e10, np.zeros(2), 1e10, atoms, [1], 0.1, rng)
         assert not out.found
         assert out.candidates_tried == 1
 
     def test_no_candidates(self):
         atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
         rng = np.random.default_rng(0)
-        out = refine_phase(lambda x: 0.0, np.zeros(2), 0.0, atoms, [], 0.5, 1e-6, rng)
+        out = refine_phase(lambda x: 0.0, np.zeros(2), 0.0, atoms, [], 0.5, rng)
         assert not out.found
         assert out.candidates_tried == 0
 
@@ -55,7 +54,7 @@ class TestRefinePhase:
         atoms = AtomSet(np.array([[1.0, 0.0], [0.0, 0.0]]))
         rng = np.random.default_rng(0)
         f = lambda x: float(np.sum(x**2))
-        out = refine_phase(f, np.array([1.0, 0.0]), 1.0, atoms, [1], 0.5, 1e-6, rng)
+        out = refine_phase(f, np.array([1.0, 0.0]), 1.0, atoms, [1], 0.5, rng)
         assert out.found
         assert out.atom_id == 1
         assert np.allclose(out.x_next, [0.5, 0.0])
@@ -65,7 +64,7 @@ class TestRefinePhase:
         atoms = AtomSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         rng = np.random.default_rng(0)
         f = lambda x: float(np.sum(x**2))
-        out = refine_phase(f, np.zeros(2), 0.0, atoms, [1, 2], 0.5, 1e-6, rng)
+        out = refine_phase(f, np.zeros(2), 0.0, atoms, [1, 2], 0.5, rng)
         assert not out.found
         assert out.candidates_tried == 2
 
@@ -74,7 +73,7 @@ class TestRefinePhase:
         obj = BudgetedObjective(lambda x: float(x[0] ** 2), budget=1)
         rng = np.random.default_rng(0)
         obj(np.zeros(1))
-        out = refine_phase(obj, np.zeros(1), 0.0, atoms, [1, 2], 0.5, 1e-6, rng)
+        out = refine_phase(obj, np.zeros(1), 0.0, atoms, [1, 2], 0.5, rng)
         assert not out.found
         assert out.budget_exhausted
 
@@ -84,12 +83,12 @@ class TestRefinePhase:
         tried = []
         for _ in range(2):
             rng = np.random.default_rng(13)
-            out = refine_phase(f, np.full(2, 100.0), 2e4, atoms, range(9), 0.99, 1e-6, rng)
+            out = refine_phase(f, np.full(2, 100.0), 2e4, atoms, range(9), 0.99, rng)
             tried.append(out.atom_id)
         assert tried[0] == tried[1]
 
 
-def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng,
+def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, rng,
                       draw=lambda rng, count: rng.permutation(count)):
     """refine_phase one candidate at a time, in the order ``draw`` gives: one trial
     point per evaluation."""
@@ -103,7 +102,7 @@ def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng,
         except BudgetExhausted:
             return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
         tried += 1
-        if f_trial < f_bar and f_trial <= f_bar - gamma * mu_hat * mu_hat:
+        if f_trial < f_bar and f_trial <= f_bar - GAMMA * mu_hat * mu_hat:
             return RefineOutcome(atom_id, trial, f_trial, tried)
     return RefineOutcome(None, None, f_bar, tried)
 
@@ -135,7 +134,7 @@ def test_refine_matches_per_candidate_reference(count, success_at, left):
     atoms = AtomSet(data.normal(size=(count + 40, n)))
     candidates = np.sort(data.choice(count + 40, size=count, replace=False))
     x_bar = data.normal(size=n)
-    f_bar, mu_hat, gamma = 1.0, 0.3, 1e-6
+    f_bar, mu_hat = 1.0, 0.3
 
     def run(refine):
         points = []
@@ -150,7 +149,7 @@ def test_refine_matches_per_candidate_reference(count, success_at, left):
             objective(x_bar)
         points.clear()
         rng = np.random.default_rng(7)
-        out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng)
+        out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, rng)
         return out, points, rng.bit_generator.state
 
     out, points, state = run(refine_phase)
@@ -194,7 +193,7 @@ def test_lazy_refine_matches_per_candidate_reference(count, success_at, budget):
     atoms = AtomSet(data.normal(size=(count + 40, n)))
     candidates = np.sort(data.choice(count + 40, size=count, replace=False))
     x_bar = data.normal(size=n)
-    f_bar, mu_hat, gamma = 1.0, 0.3, 1e-6
+    f_bar, mu_hat = 1.0, 0.3
 
     def run(refine):
         points = []
@@ -205,7 +204,7 @@ def test_lazy_refine_matches_per_candidate_reference(count, success_at, budget):
 
         objective = BudgetedObjective(f, budget=budget)
         rng = np.random.default_rng(7)
-        out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, gamma, rng)
+        out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, rng)
         return out, points, rng.bit_generator.state
 
     def draw(rng, count):
@@ -245,7 +244,7 @@ def test_lazy_order_positions_are_uniform(position):
             return 1.0
 
         objective = BudgetedObjective(f, budget=2)
-        out = refine_phase(objective, np.zeros(1), 1.0, atoms, range(m), 1.0, 1e-6, rng)
+        out = refine_phase(objective, np.zeros(1), 1.0, atoms, range(m), 1.0, rng)
         assert out.budget_exhausted and len(set(tried)) == 2
         counts[tried[position]] += 1
     assert chisquare(counts).pvalue > 1e-3
@@ -264,7 +263,7 @@ def test_long_sweep_spends_the_whole_budget_on_distinct_atoms(m, budget):
         return 1.0
 
     objective = BudgetedObjective(f, budget=budget)
-    out = refine_phase(objective, np.zeros(1), 1.0, _id_atoms(m), range(m), 1.0, 1e-6, rng)
+    out = refine_phase(objective, np.zeros(1), 1.0, _id_atoms(m), range(m), 1.0, rng)
     assert out.budget_exhausted and not out.found
     assert out.candidates_tried == len(set(tried)) == len(tried) == budget
     expected = np.random.default_rng(m)
@@ -321,12 +320,25 @@ class TestSimplexGradient:
         g = simplex_gradient(probe[None, :], [phi(probe)], y_bar, phi(y_bar))
         assert np.max(np.abs(_tangent(g - np.array([2.0, 0.0])))) <= 10 * eps * 4.0
 
-    def test_duplicate_samples_fail_poisedness(self):
-        phi = lambda y: float(y[0])
-        y_bar = np.array([0.5, 0.5, 0.0])
-        points = np.array([[0.4, 0.6, 0.0], [0.4, 0.6, 0.0]])
-        with pytest.raises(PoisednessFailure):
-            simplex_gradient(points, [phi(p) for p in points], y_bar, phi(y_bar))
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 0.1, 1.0])
+    def test_final_poll_is_poised(self, epsilon):
+        # a TOLERANCE stop's poll holds the forward probe y + a(e_i - e_j) of
+        # every i != pivot j, at one step a = min(y_j, epsilon) > 0, so with
+        # the fit's normal row its rows have full rank whatever the zero
+        # weights, and ORD's drop fit is always determined
+        rng = np.random.default_rng(17)
+        cases = [np.eye(m)[m - 1] for m in (2, 3, 300)] + [np.full(7, 1 / 7)]
+        for _ in range(30):
+            m = int(rng.integers(2, 301))
+            y = rng.dirichlet(np.ones(m))
+            y[rng.choice(m, int(rng.integers(0, m)), replace=False)] = 0.0
+            cases.append(y / y.sum())
+        for y in cases:
+            rows = final_poll(y, epsilon) - y
+            scale = np.linalg.norm(rows, axis=1).max()
+            S_t = np.vstack([rows, np.full(len(y), scale / np.sqrt(len(y)))])
+            rank = np.linalg.lstsq(S_t, np.zeros(len(S_t)), rcond=None)[2]
+            assert rank == len(y), f"m={len(y)}, {int((y == 0.0).sum())} zero weights"
 
 
 class TestPollGradient:
@@ -433,11 +445,11 @@ class TestReexpressWeights:
         atoms = AtomSet(rng.uniform(0, 10, (6, 3)))
         y = np.array([0.25, 0.75, 0.0])
         ids = [0, 2, 4]
-        x_bar = y @ atoms.subset(ids)
+        x_bar = y @ atoms.atoms[list(ids)]
         mu = 0.3
         new_ids, w = reexpress_weights(y, ids, (5, mu), {4})
         expected = x_bar + mu * (atoms.atoms[5] - x_bar)
-        assert np.max(np.abs(w @ atoms.subset(new_ids) - expected)) <= 1e-10
+        assert np.max(np.abs(w @ atoms.atoms[list(new_ids)] - expected)) <= 1e-10
 
 
 def test_farthest_distance_matches_per_atom_norms():
@@ -560,9 +572,9 @@ class TestOrdSolve:
             assert rec.active_size == len(rec.active_ids) == len(rec.y_bar)
             assert abs(rec.y_bar.sum() - 1.0) <= 1e-12
             assert np.all(rec.y_bar >= 0.0)
-            recombined = rec.y_bar @ atoms.subset(rec.active_ids)
+            recombined = rec.y_bar @ atoms.atoms[list(rec.active_ids)]
             assert np.max(np.abs(recombined - rec.x_bar)) <= 1e-10
-        final = weights_point(res.weights.w, atoms.subset(res.weights.ids))
+        final = weights_point(res.weights.w, atoms.atoms[list(res.weights.ids)])
         assert np.max(np.abs(final - res.x)) <= 1e-10
 
     def test_monotone_objective_and_mu_hat(self):
@@ -673,9 +685,9 @@ class TestOrdSolve:
         ord_solve(objective, atoms, OrdConfig(rng_seed=1), 0)
         assert fits and fits[-1] < objective.eval_count
 
-    def test_poisedness_failure_falls_back_to_the_zero_weight_rule(self, monkeypatch):
-        # the gradient filter keeps atoms on this run, so a fit that always
-        # fails must drop every zero-weight atom instead, and change the run
+    def test_zero_weight_rule_drops_what_the_filter_keeps(self, zero_weight_drop):
+        # the gradient filter keeps a zero-weight atom on this run, so the
+        # weight-only rule must drop every zero-weight atom, and change the run
         atoms = generate_uniform_atoms(4, 40, seed=1)
         func = make_test_function("fletchcr", 4)
 
@@ -690,17 +702,24 @@ class TestOrdSolve:
 
         fitted, fitted_records = run()
         assert any(rec.dropped < zeros(rec) for rec in fitted_records)
-        fallbacks = []
-
-        def failing(points, values, y_bar, f_bar):
-            fallbacks.append(len(points))
-            raise PoisednessFailure("forced")
-
-        monkeypatch.setattr(atomdfo.ord, "simplex_gradient", failing)
-        forced, records = run()
-        assert fallbacks
+        with zero_weight_drop():
+            forced, records = run()
         assert [rec.dropped for rec in records] == [zeros(rec) for rec in records]
         assert forced != fitted
+
+    @pytest.mark.parametrize("solver", ["ord", "dfsimplex"])
+    def test_spent_budget_raises_from_the_first_evaluation(self, solver):
+        # the start value is evaluated outside any budget handling, so a budget
+        # that cannot pay for it raises rather than returning a result
+        atoms = AtomSet(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        obj = BudgetedObjective(lambda x: float(np.sum(x**2)), budget=1)
+        obj(np.zeros(2))
+        with pytest.raises(BudgetExhausted):
+            if solver == "ord":
+                ord_solve(obj, atoms, OrdConfig(rng_seed=0), 0)
+            else:
+                df_simplex_solve(lambda y: obj(y @ atoms.atoms), np.array([1.0, 0.0]), 1e-3)
+        assert obj.values.tolist() == [0.0]
 
     def test_large_offset_runs_end_without_a_budget_stop(self):
         # against |f| = 1e12 the margins gamma*alpha**2 and gamma*mu_hat**2

@@ -2,8 +2,9 @@
 
 Each outer iteration approximately minimizes over the hull of the current
 atom subset (barycentric direct search), then tries to add one atom that
-yields sufficient decrease along the segment toward it, then removes
-zero-weight atoms that a sample-based gradient sign test does not keep.
+yields sufficient decrease along the segment toward it, in the order of a
+gradient fitted to the sweep's own failed probes, then removes zero-weight
+atoms that a sample-based gradient sign test does not keep.
 
 Refine reuses the inner solver's constants: dfsimplex.GAMMA as its
 sufficient-decrease coefficient and dfsimplex.THETA as the shrink of mu_hat.
@@ -12,6 +13,7 @@ EPS_DECAY**k), so EPSILON is the schedule's floor and the final tolerance.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Set, Tuple
@@ -94,6 +96,25 @@ class OrdResult:
     stop: OrdStop
 
 
+def sweep_gradient(steps: np.ndarray, diffs: np.ndarray, poised: bool = False) -> Optional[np.ndarray]:
+    """Least-squares simplex gradient from failed refine probes, or None below rank n.
+
+    The rows of ``steps`` are trial - x_bar and ``diffs`` the values
+    f(trial) - f_bar, so on an affine f with n independent rows the fit is its
+    gradient, to rounding. Makes no evaluation. ``poised`` says that the rows
+    are known to have rank n, as a refit's superset of a fitted sweep's rows
+    has: the fit then solves the n x n normal equations, a third of lstsq's
+    cost, unless they are singular to rounding, and never returns None.
+    """
+    if poised:
+        try:
+            return np.linalg.solve(steps.T @ steps, steps.T @ diffs)
+        except np.linalg.LinAlgError:
+            pass
+    g, _, rank, _ = np.linalg.lstsq(steps, diffs, rcond=None)
+    return g if poised or rank == steps.shape[1] else None
+
+
 def refine_phase(
     f: Callable[[np.ndarray], float],
     x_bar: np.ndarray,
@@ -103,41 +124,84 @@ def refine_phase(
     mu_hat: float,
     rng: np.random.Generator,
 ) -> RefineOutcome:
-    """Try the candidate atom ids in seeded random order, one evaluation each.
+    """Try candidate atom ids, one evaluation each: n + 1 in seeded order, then in model order.
 
     A candidate a is accepted when f(x_bar + mu_hat*(a - x_bar)) improves on
     f_bar by at least GAMMA*mu_hat**2, and strictly: that margin rounds away
     against a large f_bar, and a zero-decrease step could cycle with the drop
-    rule. The first success wins. The seeded order, over positions in ``candidates``, is
-    ``rng.permutation``, or, when more candidates than f's whole ``budget`` (if it has one)
-    make the sweep unfinishable, ``rng.choice(len(candidates), budget + 1, replace=False)``:
-    the candidates the budget can pay for and one more, whose refused call reports the
-    exhausted budget.
+    rule. The first success wins.
+
+    The seeded order, over positions in ``candidates``, is ``rng.permutation``,
+    or, when more candidates than f's whole ``budget`` (if it has one) make the
+    sweep unfinishable, ``rng.choice(len(candidates), budget + 1, replace=False)``:
+    the candidates the budget can pay for and one more, whose refused call
+    reports the exhausted budget. The first n + 1 probes follow it. If they all
+    fail, sweep_gradient fits g to them, and the sweep goes on in increasing
+    g^T a, the Frank-Wolfe linear-minimization oracle, at no extra evaluation;
+    ties go by position in ``candidates``, so by atom id in ord_solve's
+    ascending candidates. A sweep that fits the budget ranks every untried
+    candidate, and refits from all its failed probes each time their count
+    doubles to re-rank the untried rest. A truncated sweep scores every atom
+    once, keeps the evaluations left + 1 lowest untried scores (all that the
+    budget can reach) and does not refit. A sweep of at most n + 1
+    candidates, or whose fit is below rank n, keeps the seeded order
+    throughout, and a failed full sweep tries every candidate exactly once.
 
     Trial points are built REFINE_BLOCK rows at a time, with the same
     elementwise operations as one row at a time, and still evaluated one by
-    one; the accepted point is copied out of its block.
+    one; the accepted point is copied out of its block. Only the probes that
+    a fit reads are kept.
     """
     ids = np.asarray(candidates, dtype=np.intp)
     budget = getattr(f, "budget", None)
-    if budget is not None and len(ids) > budget:
-        ids = ids[rng.choice(len(ids), budget + 1, replace=False)]
+    truncated = budget is not None and len(ids) > budget
+    if truncated:
+        queue = rng.choice(len(ids), budget + 1, replace=False)
     else:
-        ids = ids[rng.permutation(len(ids))]
+        queue = rng.permutation(len(ids))
     threshold = f_bar - GAMMA * mu_hat * mu_hat
     tried = 0
-    for start in range(0, len(ids), REFINE_BLOCK):
-        block = ids[start:start + REFINE_BLOCK]
-        trials = x_bar + mu_hat * (atoms.atoms[block] - x_bar)
-        for row, trial in enumerate(trials):
-            try:
-                f_trial = f(trial)
-            except BudgetExhausted:
-                return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
-            tried += 1
-            if f_trial < f_bar and f_trial <= threshold:
-                return RefineOutcome(int(block[row]), trial.copy(), f_trial, tried)
-    return RefineOutcome(None, None, f_bar, tried)
+    fit_at = atoms.n + 1  # the probe count at which the next fit comes
+    failed: List[np.ndarray] = []  # the trial blocks of the probes a fit reads
+    values = array("d")
+    while True:
+        segment, queue = queue[:fit_at - tried], queue[fit_at - tried:]
+        fits_next = len(queue) > 0
+        for start in range(0, len(segment), REFINE_BLOCK):
+            block = ids[segment[start:start + REFINE_BLOCK]]
+            trials = x_bar + mu_hat * (atoms.atoms[block] - x_bar)
+            for row, trial in enumerate(trials):
+                try:
+                    f_trial = f(trial)
+                except BudgetExhausted:
+                    return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
+                tried += 1
+                if f_trial < f_bar and f_trial <= threshold:
+                    return RefineOutcome(int(block[row]), trial.copy(), f_trial, tried)
+                if fits_next:
+                    values.append(f_trial)
+            if fits_next:
+                failed.append(trials)
+        if not fits_next:
+            return RefineOutcome(None, None, f_bar, tried)
+        steps, diffs = np.concatenate(failed) - x_bar, np.frombuffer(values) - f_bar
+        g = sweep_gradient(steps, diffs, poised=tried > atoms.n + 1)
+        if g is None:
+            fit_at = tried + len(queue)  # the rest of the seeded order, with no refit
+        elif truncated:
+            # the one fit: every untried score up to the (evaluations left + 1)-th
+            # lowest, ties included, is all that the budget can reach
+            scores = (atoms.atoms @ g)[ids]
+            scores[segment] = np.inf
+            keep = budget - f.eval_count + 1
+            queue = np.flatnonzero(scores <= np.partition(scores, keep - 1)[keep - 1])
+            queue = queue[np.argsort(scores[queue], kind="stable")]
+            fit_at = tried + len(queue)
+        else:
+            # in increasing position, so that the stable sort breaks ties by it
+            queue = np.sort(queue)
+            queue = queue[np.argsort(atoms.atoms[ids[queue]] @ g, kind="stable")]
+            fit_at = 2 * tried
 
 
 def simplex_gradient(
@@ -268,8 +332,12 @@ def ord_solve(
     to an inactive atom; with every atom active the run instead ends at the
     first floor-tolerance iteration that changes nothing. ``sink``, when given,
     receives one OrdTraceRecord per outer iteration; without it none is built.
-    Refine reads the objective's budget: a sweep with more inactive atoms than
-    that draws only budget + 1 of them, by rng.choice, not a full permutation.
+    Each refine sweep tries n + 1 inactive atoms in seeded order and, once they
+    all fail, the rest in increasing g^T a for a gradient g fitted to those
+    failed probes (refine_phase). Refine reads the objective's budget: a sweep
+    with more inactive atoms than that draws only budget + 1 of them, by
+    rng.choice, not a full permutation, and ranks only the evaluations left + 1
+    best.
 
     Every evaluated point lies in conv(atoms), up to rounding: the inner
     solves probe the active subset's hull, refine probes a segment toward an

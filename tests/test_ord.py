@@ -1,11 +1,10 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import atomdfo.dfsimplex
 import atomdfo.ord
+from atomdfo.analysis import SUITE_LEVELS
 from atomdfo.bench import FUNCTION_NAMES, generate_uniform_atoms, make_problem, make_test_function
 from atomdfo.core import (
     AtomSet,
@@ -28,6 +27,7 @@ from atomdfo.ord import (
     reexpress_weights,
     refine_phase,
     simplex_gradient,
+    sweep_gradient,
 )
 
 
@@ -88,41 +88,79 @@ class TestRefinePhase:
         assert tried[0] == tried[1]
 
 
-def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, rng,
-                      draw=lambda rng, count: rng.permutation(count)):
-    """refine_phase one candidate at a time, in the order ``draw`` gives: one trial
-    point per evaluation."""
-    order = draw(rng, len(candidates))
-    tried = 0
-    for idx in order:
-        atom_id = int(candidates[idx])
+def _refine_reference(f, x_bar, f_bar, atoms, candidates, mu_hat, rng):
+    """refine_phase one candidate at a time: one trial point per evaluation.
+
+    The seeded draw is rng.permutation, or rng.choice of budget + 1 positions
+    when the candidates outnumber f's budget. After n + 1 failures a plain
+    lstsq fit ranks the untried candidates by a full stable argsort of their
+    scores, over increasing positions; a sweep that fits the budget refits
+    from every failure each time their count doubles, a truncated one ranks
+    only the evaluations left + 1 best and never refits.
+    """
+    n = atoms.n
+    budget = getattr(f, "budget", None)
+    truncated = budget is not None and len(candidates) > budget
+    if truncated:
+        queue = list(rng.choice(len(candidates), budget + 1, replace=False))
+    else:
+        queue = list(rng.permutation(len(candidates)))
+    tried, steps, diffs = [], [], []
+    fit_at, fitted = n + 1, False
+    while queue:
+        pos = queue.pop(0)
+        atom_id = int(candidates[pos])
         trial = x_bar + mu_hat * (atoms.atoms[atom_id] - x_bar)
         try:
             f_trial = f(trial)
         except BudgetExhausted:
-            return RefineOutcome(None, None, f_bar, tried, budget_exhausted=True)
-        tried += 1
+            return RefineOutcome(None, None, f_bar, len(tried), budget_exhausted=True)
+        tried.append(pos)
         if f_trial < f_bar and f_trial <= f_bar - GAMMA * mu_hat * mu_hat:
-            return RefineOutcome(atom_id, trial, f_trial, tried)
-    return RefineOutcome(None, None, f_bar, tried)
+            return RefineOutcome(atom_id, trial, f_trial, len(tried))
+        steps.append(trial - x_bar)
+        diffs.append(f_trial - f_bar)
+        if len(tried) != fit_at or not queue:
+            continue
+        g, _, rank, _ = np.linalg.lstsq(np.array(steps), np.array(diffs), rcond=None)
+        if not fitted and rank < n:
+            fit_at = None
+            continue
+        if fitted:
+            rest = sorted(queue)
+        else:
+            rest = [p for p in range(len(candidates)) if p not in tried]
+        scores = atoms.atoms[np.asarray(candidates)[rest]] @ g
+        queue = [rest[i] for i in np.argsort(scores, kind="stable")]
+        if truncated:
+            queue = queue[:budget - f.eval_count + 1]
+        fit_at = None if truncated else 2 * fit_at
+        fitted = True
+    return RefineOutcome(None, None, f_bar, len(tried))
 
 
-# (candidates, evaluation that succeeds or None, evaluations left or None);
-# blocks of REFINE_BLOCK = 64 rows cover 0-63, 64-127 and so on: rows 63, 64,
-# 127 and 128 sit on their boundaries, the rest inside a block or at a sweep's
-# ends. An objective with evaluations left has a budget of the candidate count
-# and has spent the rest, so the sweep fits the whole budget (a full
-# permutation) and still stops on it
+# (candidates, evaluation that succeeds or None, evaluations left or None).
+# At n = 5 evaluations 0-5 follow the seeded order, a fit ranks the rest
+# from evaluation 6, and refits re-rank it from 12, 24, 48, ..., 192, 384 and
+# so on; trial rows are built in blocks of REFINE_BLOCK = 64 from each of
+# those starts, so 255 and 256 sit on a block boundary. Cases succeed in the
+# seeded part, right after the fit, on both sides of refits and block
+# boundaries, or not at all. An objective with evaluations left has a budget
+# of the candidate count and has spent the rest, so the sweep fits the whole
+# budget (a full permutation) and still stops on it
 REFINE_CASES = [
     (1, 0, None), (1, None, None),
     (7, 3, None), (7, 6, None), (7, None, None),
     (8, 0, None), (8, 7, None), (8, None, None),
     (9, 8, None), (9, None, None), (9, None, 8),
+    (12, 5, None), (12, 6, None), (12, None, None),
+    (40, 11, None), (40, 12, None), (40, 23, None), (40, 24, None), (40, None, 30),
     (100, 0, None), (100, 8, None), (100, 15, None), (100, 23, None),
     (100, 24, None), (100, 63, None), (100, 64, None),
     (100, 99, None), (100, None, None), (100, None, 12),
     (3000, 127, None), (3000, 128, None),
-    (3000, 248, None), (3000, 400, None), (3000, 503, None), (3000, 504, None),
+    (3000, 248, None), (3000, 255, None), (3000, 256, None), (3000, 383, None),
+    (3000, 384, None), (3000, 400, None), (3000, 503, None), (3000, 504, None),
     (3000, 2999, None), (3000, None, None), (3000, None, 600),
 ]
 
@@ -171,14 +209,17 @@ def test_refine_matches_per_candidate_reference(count, success_at, left):
 
 # (candidates, evaluation that succeeds or None, budget): more candidates
 # than the objective's budget, so the sweep draws budget + 1 positions by
-# rng.choice; success early, late and at the budget's last evaluation, and
-# budget stops, one of them with the success on the extra position, one
-# evaluation past the budget
+# rng.choice. At n = 5 evaluations 0-5 follow that draw and one fit ranks
+# the rest from evaluation 6, built in blocks of 64 from there (69 and 70
+# sit on a boundary); success in the seeded part, right after the fit, late
+# and at the budget's last evaluation, and budget stops, one of them with the
+# success on the extra position, one evaluation past the budget
 LAZY_REFINE_CASES = [
-    (9, 0, 8), (9, 7, 8), (9, 8, 8), (9, None, 8),
-    (100, 0, 12), (100, 7, 12), (100, 8, 12), (100, 11, 12), (100, None, 12),
-    (3000, 0, 600), (3000, 7, 600), (3000, 8, 600), (3000, 23, 600), (3000, 24, 600),
-    (3000, 55, 600), (3000, 56, 600), (3000, 119, 600), (3000, 120, 600),
+    (9, 0, 8), (9, 5, 8), (9, 6, 8), (9, 7, 8), (9, 8, 8), (9, None, 8),
+    (100, 0, 12), (100, 6, 12), (100, 7, 12), (100, 8, 12), (100, 11, 12), (100, None, 12),
+    (3000, 0, 600), (3000, 5, 600), (3000, 6, 600), (3000, 7, 600), (3000, 8, 600),
+    (3000, 23, 600), (3000, 24, 600), (3000, 55, 600), (3000, 56, 600),
+    (3000, 69, 600), (3000, 70, 600), (3000, 119, 600), (3000, 120, 600),
     (3000, 247, 600), (3000, 248, 600), (3000, 503, 600), (3000, 504, 600),
     (3000, 599, 600), (3000, None, 600),
     (20000, 759, 1100), (20000, 760, 1100), (20000, 1015, 1100), (20000, 1016, 1100),
@@ -207,11 +248,8 @@ def test_lazy_refine_matches_per_candidate_reference(count, success_at, budget):
         out = refine(objective, x_bar, f_bar, atoms, candidates, mu_hat, rng)
         return out, points, rng.bit_generator.state
 
-    def draw(rng, count):
-        return rng.choice(count, budget + 1, replace=False)
-
     out, points, state = run(refine_phase)
-    ref, ref_points, ref_state = run(functools.partial(_refine_reference, draw=draw))
+    ref, ref_points, ref_state = run(_refine_reference)
     assert points == ref_points
     assert state == ref_state
     assert out.atom_id == ref.atom_id
@@ -253,8 +291,9 @@ def test_lazy_order_positions_are_uniform(position):
 @pytest.mark.parametrize("m, budget", [(2, 1), (9, 8), (20, 2), (20000, 1100)])
 def test_long_sweep_spends_the_whole_budget_on_distinct_atoms(m, budget):
     # on an objective that has spent nothing, a sweep longer than its budget
-    # pays for budget distinct atoms, and the refused call on the extra drawn
-    # position reports the exhausted budget
+    # pays for budget distinct atoms, the first n + 1 of them in rng.choice's
+    # order, and the refused call on the extra drawn position reports the
+    # exhausted budget
     rng = np.random.default_rng(m)
     tried = []
 
@@ -267,8 +306,129 @@ def test_long_sweep_spends_the_whole_budget_on_distinct_atoms(m, budget):
     assert out.budget_exhausted and not out.found
     assert out.candidates_tried == len(set(tried)) == len(tried) == budget
     expected = np.random.default_rng(m)
-    assert tried == expected.choice(m, budget + 1, replace=False)[:budget].tolist()
+    assert tried[:2] == expected.choice(m, budget + 1, replace=False)[:min(2, budget)].tolist()
     assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.fixture
+def sweep_fits(monkeypatch):
+    """Every gradient refine_phase fits, None for a fit below rank n."""
+    fits = []
+
+    def recording(steps, diffs, poised=False):
+        fits.append(sweep_gradient(steps, diffs, poised))
+        return fits[-1]
+
+    monkeypatch.setattr(atomdfo.ord, "sweep_gradient", recording)
+    return fits
+
+
+def _failing_linear_sweep(rng, n, m, mu_hat):
+    """Uniform atoms, f = c^T x, x_bar the atom of least c^T a and every other one a candidate.
+
+    Every probe fails, and f maps each trial point back to its atom id.
+    """
+    atoms = AtomSet(rng.uniform(0, 10, (m, n)))
+    c = rng.normal(size=n)
+    best = int(np.argmin(atoms.atoms @ c))
+    x_bar = atoms.atoms[best]
+    candidates = np.delete(np.arange(m), best)
+    ids = {(x_bar + mu_hat * (atoms.atoms[i] - x_bar)).tobytes(): int(i) for i in candidates}
+    probed = []
+
+    def f(x):
+        probed.append(ids[x.tobytes()])
+        return float(c @ x)
+
+    return atoms, c, x_bar, candidates, f, probed
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_sweep_fit_is_exact_on_affine_objectives(level, sweep_fits):
+    # as many sweeps as verify's simplex-grad-affine property draws at the
+    # level; every fit of a sweep that fails throughout, the first and each
+    # refit, is c to 1e-8
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(SUITE_LEVELS[level]["gradient"]):
+        n = int(rng.integers(1, 11))
+        mu_hat = float(rng.uniform(0.05, 1.0))
+        atoms, c, x_bar, candidates, f, _ = _failing_linear_sweep(rng, n, int(rng.integers(n + 2, 80)), mu_hat)
+        b = float(rng.normal())
+        sweep_fits.clear()
+        out = refine_phase(lambda x: f(x) + b, x_bar, float(c @ x_bar) + b, atoms, candidates, mu_hat, rng)
+        assert not out.found and out.candidates_tried == len(candidates)
+        assert sweep_fits and all(g is not None for g in sweep_fits)
+        worst = max(worst, max(float(np.max(np.abs(g - c))) for g in sweep_fits))
+    assert worst <= 1e-8, worst
+
+
+@pytest.mark.parametrize("n, m, budget", [(3, 60, None), (10, 200, None), (5, 500, None), (10, 3000, 300)])
+def test_post_seed_order_is_increasing_linear_score(n, m, budget):
+    # on f = c^T x the fits are exact, so after the n + 1 seeded probes the
+    # sweep tries the untried candidates in increasing c^T a, through every
+    # refit; a truncated sweep tries a prefix of that order
+    rng = np.random.default_rng(n * m)
+    atoms, c, x_bar, candidates, f, probed = _failing_linear_sweep(rng, n, m, 0.5)
+    objective = BudgetedObjective(f, budget=budget)
+    out = refine_phase(objective, x_bar, float(c @ x_bar), atoms, candidates, 0.5, rng)
+    assert not out.found and out.candidates_tried == len(probed) == len(set(probed))
+    untried = [int(i) for i in candidates if i not in probed[:n + 1]]
+    by_score = sorted(untried, key=lambda i: atoms.atoms[i] @ c)
+    assert probed[n + 1:] == by_score[:len(probed) - n - 1]
+    assert out.budget_exhausted == (budget is not None)
+
+
+def test_atoms_on_a_line_keep_the_seeded_order(sweep_fits):
+    # the atoms t*u, for integers t and an integer u, are exactly collinear in
+    # R^10, so the fit has rank 1 < n and the sweep keeps rng.permutation's
+    # order, byte for byte
+    atoms = AtomSet(np.arange(50.0)[:, None] * np.arange(1.0, 11.0))
+    x_bar, mu_hat = atoms.atoms[7], 0.5
+    candidates = np.delete(np.arange(50), 7)
+    points = []
+
+    def f(x):
+        points.append(x.tobytes())
+        return 1.0
+
+    rng = np.random.default_rng(3)
+    out = refine_phase(f, x_bar, 0.5, atoms, candidates, mu_hat, rng)
+    expected = np.random.default_rng(3)
+    order = candidates[expected.permutation(len(candidates))]
+    assert points == [(x_bar + mu_hat * (atoms.atoms[i] - x_bar)).tobytes() for i in order]
+    assert rng.bit_generator.state == expected.bit_generator.state
+    assert sweep_fits == [None]
+    assert not out.found and out.candidates_tried == len(candidates)
+
+
+@pytest.mark.parametrize("n, m, budget", [(2, 9, None), (5, 60, None), (5, 60, 60), (10, 300, None)])
+def test_failed_full_sweep_tries_every_candidate_once(n, m, budget):
+    data = np.random.default_rng(m + n)
+    atoms = AtomSet(data.normal(size=(m, n)))
+    x_bar = data.normal(size=n)
+    ids = {(x_bar + 0.3 * (a - x_bar)).tobytes(): i for i, a in enumerate(atoms.atoms)}
+    probed = []
+
+    def f(x):
+        probed.append(ids[x.tobytes()])
+        assert len(probed) <= m, "a candidate was tried twice"
+        return 1.0 + float(x @ x)
+
+    objective = BudgetedObjective(f, budget=budget)
+    out = refine_phase(objective, x_bar, 0.5, atoms, range(m), 0.3, data)
+    assert not out.found and not out.budget_exhausted
+    assert out.candidates_tried == m
+    assert sorted(probed) == list(range(m))
+
+
+def test_refit_solves_singular_normal_equations_by_lstsq():
+    # rows of rank 2 whose normal equations are singular to rounding
+    steps = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [2.0, 2.0]])
+    diffs = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(steps.T @ steps, steps.T @ diffs)
+    assert np.array_equal(sweep_gradient(steps, diffs, poised=True), sweep_gradient(steps, diffs))
 
 
 def test_refine_called_through_the_module_global(monkeypatch):
@@ -686,24 +846,27 @@ class TestOrdSolve:
         assert fits and fits[-1] < objective.eval_count
 
     def test_zero_weight_rule_drops_what_the_filter_keeps(self, zero_weight_drop):
-        # the gradient filter keeps a zero-weight atom on this run, so the
-        # weight-only rule must drop every zero-weight atom, and change the run
+        # the instance is the first refine seed in range(20) on which the
+        # gradient filter keeps a zero-weight atom; on it the weight-only rule
+        # must drop every zero-weight atom, and change the run
         atoms = generate_uniform_atoms(4, 40, seed=1)
         func = make_test_function("fletchcr", 4)
 
-        def run():
+        def run(seed):
             obj = BudgetedObjective(func.value, budget=500)
             records = []
-            res = ord_solve(obj, atoms, OrdConfig(rng_seed=0), 0, sink=records.append)
+            res = ord_solve(obj, atoms, OrdConfig(rng_seed=seed), 0, sink=records.append)
             return (obj.values.tobytes(), res.weights.w.tobytes(), res.weights.ids, res.stop), records
 
         def zeros(rec):
             return int((rec.y_bar <= ZERO_TOL).sum())
 
-        fitted, fitted_records = run()
-        assert any(rec.dropped < zeros(rec) for rec in fitted_records)
+        seed = next((seed for seed in range(20)
+                     if any(rec.dropped < zeros(rec) for rec in run(seed)[1])), None)
+        assert seed is not None, "the filter keeps no zero-weight atom at seeds 0-19"
+        fitted, _ = run(seed)
         with zero_weight_drop():
-            forced, records = run()
+            forced, records = run(seed)
         assert [rec.dropped for rec in records] == [zeros(rec) for rec in records]
         assert forced != fitted
 

@@ -96,23 +96,15 @@ class OrdResult:
     stop: OrdStop
 
 
-def sweep_gradient(steps: np.ndarray, diffs: np.ndarray, poised: bool = False) -> Optional[np.ndarray]:
+def sweep_gradient(steps: np.ndarray, diffs: np.ndarray) -> Optional[np.ndarray]:
     """Least-squares simplex gradient from failed refine probes, or None below rank n.
 
     The rows of ``steps`` are trial - x_bar and ``diffs`` the values
     f(trial) - f_bar, so on an affine f with n independent rows the fit is its
-    gradient, to rounding. Makes no evaluation. ``poised`` says that the rows
-    are known to have rank n, as a refit's superset of a fitted sweep's rows
-    has: the fit then solves the n x n normal equations, a third of lstsq's
-    cost, unless they are singular to rounding, and never returns None.
+    gradient, to rounding. Makes no evaluation.
     """
-    if poised:
-        try:
-            return np.linalg.solve(steps.T @ steps, steps.T @ diffs)
-        except np.linalg.LinAlgError:
-            pass
     g, _, rank, _ = np.linalg.lstsq(steps, diffs, rcond=None)
-    return g if poised or rank == steps.shape[1] else None
+    return g if rank == steps.shape[1] else None
 
 
 def refine_phase(
@@ -185,16 +177,21 @@ def refine_phase(
         if not fits_next:
             return RefineOutcome(None, None, f_bar, tried)
         steps, diffs = np.concatenate(failed) - x_bar, np.frombuffer(values) - f_bar
-        g = sweep_gradient(steps, diffs, poised=tried > atoms.n + 1)
+        g = sweep_gradient(steps, diffs)
         if g is None:
             fit_at = tried + len(queue)  # the rest of the seeded order, with no refit
         elif truncated:
             # the one fit: every untried score up to the (evaluations left + 1)-th
             # lowest, ties included, is all that the budget can reach
-            scores = (atoms.atoms @ g)[ids]
+            full = atoms.atoms @ g
+            scores = full[ids]
             scores[segment] = np.inf
             keep = budget - f.eval_count + 1
-            queue = np.flatnonzero(scores <= np.partition(scores, keep - 1)[keep - 1])
+            # partitioned in full's storage, not in a third m-long array
+            lowest = full[:len(ids)]
+            lowest[:] = scores
+            lowest.partition(keep - 1)
+            queue = np.flatnonzero(scores <= lowest[keep - 1])
             queue = queue[np.argsort(scores[queue], kind="stable")]
             fit_at = tried + len(queue)
         else:

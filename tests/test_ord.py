@@ -315,8 +315,8 @@ def sweep_fits(monkeypatch):
     """Every gradient refine_phase fits, None for a fit below rank n."""
     fits = []
 
-    def recording(steps, diffs, poised=False):
-        fits.append(sweep_gradient(steps, diffs, poised))
+    def recording(steps, diffs):
+        fits.append(sweep_gradient(steps, diffs))
         return fits[-1]
 
     monkeypatch.setattr(atomdfo.ord, "sweep_gradient", recording)
@@ -420,15 +420,6 @@ def test_failed_full_sweep_tries_every_candidate_once(n, m, budget):
     assert not out.found and not out.budget_exhausted
     assert out.candidates_tried == m
     assert sorted(probed) == list(range(m))
-
-
-def test_refit_solves_singular_normal_equations_by_lstsq():
-    # rows of rank 2 whose normal equations are singular to rounding
-    steps = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [2.0, 2.0]])
-    diffs = np.array([1.0, 2.0, 3.0])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(steps.T @ steps, steps.T @ diffs)
-    assert np.array_equal(sweep_gradient(steps, diffs, poised=True), sweep_gradient(steps, diffs))
 
 
 def test_refine_called_through_the_module_global(monkeypatch):

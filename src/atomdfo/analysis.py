@@ -12,7 +12,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .core import BudgetedObjective, ZERO_TOL
+from .core import ZERO_TOL
 from .dfsimplex import GAMMA, df_simplex_solve, line_search
 
 
@@ -274,23 +274,27 @@ def check_linesearch_oracle(trials: int, rng: np.random.Generator) -> PropertyRe
 
 
 def check_simplex_gradient_affine(trials: int, rng: np.random.Generator) -> PropertyReport:
-    """The final-poll gradient's tangent part is exact on affine objectives.
+    """Refine's sweep fit, ord.simplex_gradient, is exact on affine objectives.
 
-    Only g - c with its mean removed is compared: the fit pins the component
-    along the all-ones vector to zero, which the drop test cancels anyway.
+    Each trial draws f = c^T x + b, n + 1 atoms in R^n, x_bar in their hull
+    and a step mu_hat, and fits the n + 1 trial points x_bar + mu_hat*(a -
+    x_bar) as a sweep does once its n + 1 seeded probes fail. A fit below
+    rank n (None) fails its trial.
     """
-    from .ord import poll_gradient
+    from .ord import simplex_gradient
 
     margins = []
     for _ in range(trials):
-        m = int(rng.integers(2, 11))
-        c = rng.normal(size=m)
+        n = int(rng.integers(1, 11))
+        c = rng.normal(size=n)
         b = float(rng.normal())
-        phi = BudgetedObjective(lambda y, c=c, b=b: float(c @ y + b))
-        y0 = random_simplex_point(rng, m, int(rng.integers(0, m)))
-        res = df_simplex_solve(phi, y0, 1e-3)
-        d = poll_gradient(phi, res.y, res.f, 1e-3) - c
-        margins.append(1e-8 - float(np.max(np.abs(d - d.mean()))))
+        atoms = rng.uniform(-5.0, 5.0, (n + 1, n))
+        x_bar = random_simplex_point(rng, n + 1) @ atoms
+        mu_hat = float(10.0 ** rng.uniform(-3, 0))
+        points = x_bar + mu_hat * (atoms - x_bar)
+        diffs = np.array([float(c @ p + b) for p in points]) - float(c @ x_bar + b)
+        g = simplex_gradient(points - x_bar, diffs)
+        margins.append(-np.inf if g is None else 1e-8 - float(np.max(np.abs(g - c))))
     return _verdict("simplex-grad-affine", trials, margins)
 
 

@@ -7,12 +7,12 @@ stopping tolerance epsilon. The solver stops at the first iteration that
 starts with every stepsize at the floor and accepts no step, which certifies
 an approximate-stationarity bound for gradient-Lipschitz objectives.
 
-The probe rule lives here whole: ``line_search`` probes +/-(e_i - e_j),
-``df_simplex_iterate`` skips a search with both feasibility bounds zero, and
-``final_poll`` lists a TOLERANCE stop's probes. A probe of value f at step
-alpha is accepted only on a strict sufficient decrease, f < phi(z) and
-f <= phi(z) - gamma*alpha**2: against a large |phi(z)| the margin rounds
-away, and a zero-decrease step could then repeat until the budget.
+The probe rule lives here whole: ``line_search`` probes +/-(e_i - e_j), and
+``df_simplex_iterate`` skips a search with both feasibility bounds zero. A
+probe of value f at step alpha is accepted only on a strict sufficient
+decrease, f < phi(z) and f <= phi(z) - gamma*alpha**2: against a large
+|phi(z)| the margin rounds away, and a zero-decrease step could then repeat
+until the budget.
 """
 from __future__ import annotations
 
@@ -178,19 +178,6 @@ def df_simplex_iterate(
         iterations=state.iterations + 1,
         stop=stop,
     )
-
-
-def final_poll(y: np.ndarray, epsilon: float) -> np.ndarray:
-    """The points a TOLERANCE stop at y probed, in probe order, one per row.
-
-    Its iteration began at y with every stepsize at epsilon and accepted no
-    step, so each search probed both directions once, at its floored step.
-    """
-    j = choose_pivot(y)
-    points = [exchange_point(y, sign, i, j, min(bound, epsilon))
-              for i in range(len(y)) if i != j
-              for sign, bound in ((+1, y.item(j)), (-1, y.item(i))) if bound > 0.0]
-    return np.array(points).reshape(-1, len(y))
 
 
 def df_simplex_solve(

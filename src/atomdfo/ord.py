@@ -3,8 +3,8 @@
 Each outer iteration approximately minimizes over the hull of the current
 atom subset (barycentric direct search), then tries to add one atom that
 yields sufficient decrease along the segment toward it, in the order of a
-gradient fitted to the sweep's own failed probes, then removes zero-weight
-atoms that a sample-based gradient sign test does not keep.
+gradient fitted to the sweep's own failed probes, then removes the atoms
+whose weight is zero.
 
 Refine reuses the inner solver's constants: dfsimplex.GAMMA as its
 sufficient-decrease coefficient and dfsimplex.THETA as the shrink of mu_hat.
@@ -31,7 +31,7 @@ from .core import (
     weights_point,
 )
 from .dfsimplex import StopReason as InnerStop
-from .dfsimplex import GAMMA, THETA, df_simplex_solve, final_poll
+from .dfsimplex import GAMMA, THETA, df_simplex_solve
 
 MU0 = 0.5  # the initial refine step mu_hat
 STOP_FACTOR = 1e-4  # converged once mu_hat <= STOP_FACTOR / farthest inactive atom
@@ -96,7 +96,7 @@ class OrdResult:
     stop: OrdStop
 
 
-def sweep_gradient(steps: np.ndarray, diffs: np.ndarray) -> Optional[np.ndarray]:
+def simplex_gradient(steps: np.ndarray, diffs: np.ndarray) -> Optional[np.ndarray]:
     """Least-squares simplex gradient from failed refine probes, or None below rank n.
 
     The rows of ``steps`` are trial - x_bar and ``diffs`` the values
@@ -128,7 +128,7 @@ def refine_phase(
     sweep unfinishable, ``rng.choice(len(candidates), budget + 1, replace=False)``:
     the candidates the budget can pay for and one more, whose refused call
     reports the exhausted budget. The first n + 1 probes follow it. If they all
-    fail, sweep_gradient fits g to them, and the sweep goes on in increasing
+    fail, simplex_gradient fits g to them, and the sweep goes on in increasing
     g^T a, the Frank-Wolfe linear-minimization oracle, at no extra evaluation;
     ties go by position in ``candidates``, so by atom id in ord_solve's
     ascending candidates. A sweep that fits the budget ranks every untried
@@ -177,7 +177,7 @@ def refine_phase(
         if not fits_next:
             return RefineOutcome(None, None, f_bar, tried)
         steps, diffs = np.concatenate(failed) - x_bar, np.frombuffer(values) - f_bar
-        g = sweep_gradient(steps, diffs)
+        g = simplex_gradient(steps, diffs)
         if g is None:
             fit_at = tried + len(queue)  # the rest of the seeded order, with no refit
         elif truncated:
@@ -201,69 +201,9 @@ def refine_phase(
             fit_at = 2 * tried
 
 
-def simplex_gradient(
-    points: np.ndarray,
-    values: Sequence[float],
-    y_bar: np.ndarray,
-    f_bar: float,
-) -> np.ndarray:
-    """Least-squares fit of the tangent gradient to sample points and their values.
-
-    Makes no evaluation. The rows p - y_bar span at most the tangent space
-    {d : sum(d) = 0}, and the drop test g_h - g^T y_bar cancels any multiple
-    of the all-ones vector, so one more row along it with right-hand side 0
-    pins that component to zero (rounding leaves the rows' sums slightly off
-    zero, which a plain min-norm fit would amplify). The row is as long as the
-    longest sample row, so it weighs as much as the samples do.
-    """
-    y_bar = np.asarray(y_bar, dtype=float)
-    m = len(y_bar)
-    rows = np.asarray(points, dtype=float).reshape(-1, m) - y_bar
-    scale = np.linalg.norm(rows, axis=1).max(initial=0.0) or 1.0
-    S_t = np.vstack([rows, np.full(m, scale / np.sqrt(m))])
-    b = np.append(np.asarray(values, dtype=float) - f_bar, 0.0)
-    return np.linalg.lstsq(S_t, b, rcond=None)[0]
-
-
-def poll_gradient(
-    objective: BudgetedObjective,
-    y_bar: np.ndarray,
-    f_bar: float,
-    epsilon: float,
-) -> np.ndarray:
-    """simplex_gradient fitted to the final poll of an inner solve that ended at y_bar.
-
-    Makes no evaluation: a TOLERANCE stop at tolerance epsilon probed
-    final_poll(y_bar, epsilon), so right after the solve those probes' values
-    are the last entries of the objective's ledger. The poll holds the forward
-    probe y_bar + a(e_i - e_j) of every i != pivot j, at one step a > 0, so its
-    rows span the tangent space and the fit is determined.
-    """
-    points = final_poll(y_bar, epsilon)
-    values = objective.values
-    # values[-0:] would be the whole ledger, so the slice starts at its length
-    return simplex_gradient(points, values[len(values) - len(points):], y_bar, f_bar)
-
-
-def drop_phase(
-    active_ids: Sequence[int],
-    y_bar: np.ndarray,
-    g: Optional[np.ndarray] = None,
-) -> Set[int]:
-    """Atom ids to remove: zero-weight atoms, filtered by g when it is given.
-
-    With a gradient estimate g, a zero-weight atom h is kept when
-    g^T (e_h - y_bar) < 0, i.e. when the estimate still points at it as a
-    descent candidate. Atoms with positive weight are never dropped.
-    """
-    y_bar = np.asarray(y_bar, dtype=float)
-    to_drop = [h for h in range(len(y_bar)) if y_bar[h] <= ZERO_TOL]
-    if g is not None:
-        g = np.asarray(g, dtype=float)
-        if len(g) != len(y_bar):
-            raise ValueError("gradient length does not match the weight vector")
-        to_drop = [h for h in to_drop if g[h] - g @ y_bar >= 0.0]
-    return {int(active_ids[h]) for h in to_drop}
+def drop_phase(active_ids: Sequence[int], y_bar: np.ndarray) -> Set[int]:
+    """Atom ids to remove: exactly the active atoms whose weight is at most ZERO_TOL."""
+    return {int(i) for i, w in zip(active_ids, y_bar.tolist()) if w <= ZERO_TOL}
 
 
 def reexpress_weights(
@@ -337,10 +277,9 @@ def ord_solve(
     best.
 
     Every evaluated point lies in conv(atoms), up to rounding: the inner
-    solves probe the active subset's hull, refine probes a segment toward an
-    atom, and the drop rule refits the inner solve's final poll. It fits that
-    gradient only on iterations where an active atom has zero weight, since
-    otherwise it drops nothing whatever the gradient is.
+    solves probe the active subset's hull and refine probes a segment toward
+    an atom. Each iteration drops exactly the active atoms of zero weight, by
+    drop_phase, at no evaluation.
 
     Evaluations are counted by one BudgetedObjective: ``f`` itself when it is
     one, else a budgetless wrapper around it. Either way a NaN/inf value raises
@@ -385,11 +324,7 @@ def ord_solve(
         if inner.stop is InnerStop.BUDGET:
             return result(x_f, f_bar, active, y_bar, k, OrdStop.BUDGET)
 
-        gradient = None
-        # with no zero weight nothing is droppable whatever g is, so skip the fit
-        if (y_bar <= ZERO_TOL).any():
-            gradient = poll_gradient(objective, y_bar, f_bar, eps_k)
-        dropped = drop_phase(active, y_bar, gradient)
+        dropped = drop_phase(active, y_bar)
 
         # ascending, so each seeded refine draw maps to the same atom id
         inactive_mask = np.ones(atoms.m, dtype=bool)

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines alongside pytest's own verdicts. The benchmark-backed criteria share
 one module-scoped pair of `atomdfo run` suites so the whole module stays fast.
 """
-import contextlib
 import csv
 import json
 import os
@@ -159,13 +158,13 @@ def test_criterion_5_simplex_gradient_exactness():
     report(
         "criterion-5 simplex gradient",
         rep.passed,
-        f"100 affine trials, worst tangent |g - c|_inf slack={rep.worst_margin:+.3e} "
+        f"100 affine trials of refine's fit, worst |g - c|_inf slack={rep.worst_margin:+.3e} "
         "(need <= 1e-8)",
     )
 
 
-def _identification_runs(rules):
-    """Criterion 6's 20 instances, each run under every rule in ``rules``.
+def _identification_runs():
+    """Criterion 6's 20 instances, one ORD run each.
 
     On each atom cloud x* is the centroid of a hull facet picked with the
     instance's rng and f = |x - c|^2 with c two units beyond the facet along
@@ -193,14 +192,12 @@ def _identification_runs(rules):
             if grad_star @ (atoms.atoms[i] - x_star) > 1e-3 * scale
         }
         margins.append(len(margin_atoms))
-        for rule in rules:
-            records = []
-            with rule():
-                ord_solve(f, atoms, OrdConfig(rng_seed=trial), start_atom_id=0, sink=records.append)
-            near = (rec.k for rec in records if np.linalg.norm(rec.x_bar - x_star) <= 1e-2)
-            entered = next(near, None)
-            late = [rec for rec in records if entered is not None and rec.k > entered]
-            runs.append((entered is not None, sum(bool(set(rec.active_ids) & margin_atoms) for rec in late)))
+        records = []
+        ord_solve(f, atoms, OrdConfig(rng_seed=trial), start_atom_id=0, sink=records.append)
+        near = (rec.k for rec in records if np.linalg.norm(rec.x_bar - x_star) <= 1e-2)
+        entered = next(near, None)
+        late = [rec for rec in records if entered is not None and rec.k > entered]
+        runs.append((entered is not None, sum(bool(set(rec.active_ids) & margin_atoms) for rec in late)))
     return margins, runs
 
 
@@ -209,15 +206,14 @@ def _identified(runs):
     return all(entered and violations == 0 for entered, violations in runs)
 
 
-def test_criterion_6_identification(zero_weight_drop):
-    # the weight-only rule, patched in, then ORD's gradient-filtered rule
-    margins, runs = _identification_runs((zero_weight_drop, contextlib.nullcontext))
+def test_criterion_6_identification():
+    margins, runs = _identification_runs()
     violations = sum(v for _, v in runs)
     entered_all = all(entered for entered, _ in runs)
     report(
         "criterion-6 identification",
         min(margins) > 0 and _identified(runs),
-        f"20 face-minimizer instances x 2 drop rules, {sum(margins)} margin atoms "
+        f"20 face-minimizer instances, {sum(margins)} margin atoms "
         f"(fewest on one instance: {min(margins)}), violations={violations}, "
         f"every run entered the 1e-2 ball: {entered_all}",
     )
@@ -226,7 +222,7 @@ def test_criterion_6_identification(zero_weight_drop):
 def test_criterion_6_fails_when_nothing_is_dropped(monkeypatch):
     # negative control: with drop_phase dropping nothing, margin atoms stay active
     monkeypatch.setattr(atomdfo.ord, "drop_phase", lambda *args: set())
-    margins, runs = _identification_runs((contextlib.nullcontext,))
+    margins, runs = _identification_runs()
     assert min(margins) > 0
     assert not _identified(runs)
     print(f"never-drop control: {sum(v > 0 for _, v in runs)} of {len(runs)} instances violate")

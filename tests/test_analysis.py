@@ -263,10 +263,16 @@ class TestNegativeControls:
         report = check(trials, np.random.default_rng(0), gap=lambda g, y: float("nan"))
         assert not report.passed and np.isnan(report.worst_margin), report.line()
 
-    def test_nan_poll_gradient_fails_affine_suite(self, monkeypatch):
-        monkeypatch.setattr("atomdfo.ord.poll_gradient", lambda phi, y, f, eps: np.full(len(y), np.nan))
+    def test_nan_simplex_gradient_fails_affine_suite(self, monkeypatch):
+        monkeypatch.setattr("atomdfo.ord.simplex_gradient", lambda steps, diffs: np.full(steps.shape[1], np.nan))
         report = check_simplex_gradient_affine(5, np.random.default_rng(0))
         assert not report.passed and np.isnan(report.worst_margin), report.line()
+
+    def test_rank_deficient_fit_fails_affine_suite(self, monkeypatch):
+        # a fit below rank n returns None, which fails its trial
+        monkeypatch.setattr("atomdfo.ord.simplex_gradient", lambda steps, diffs: None)
+        report = check_simplex_gradient_affine(5, np.random.default_rng(0))
+        assert not report.passed and report.worst_margin == -np.inf, report.line()
 
     def test_identity_projector_fails_polarity(self):
         # v_T = v is not 0 on the normal-cone draws, which every trial makes

@@ -13,7 +13,6 @@ from atomdfo.dfsimplex import (
     choose_pivot,
     df_simplex_iterate,
     df_simplex_solve,
-    final_poll,
     line_search,
 )
 from atomdfo.analysis import kkt_gap
@@ -318,81 +317,3 @@ class TestSolve:
         while state.stop is None:
             state = df_simplex_iterate(state, phi, eps)
             assert np.all(state.alpha_hat >= eps)
-
-    def test_final_poll_covers_every_direction(self):
-        # at the stopping iteration every non-pivot coordinate got a forward
-        # probe, so the final poll holds >= m-1 distinct points, and their
-        # values are the ledger's last entries
-        phi = lambda y: float(np.sum((y - np.array([0.5, 0.3, 0.2])) ** 2))
-        objective = BudgetedObjective(phi)
-        eps = 1e-3
-        res = df_simplex_solve(objective, np.full(3, 1 / 3), eps)
-        points = final_poll(res.y, eps)
-        assert len({point.tobytes() for point in points}) >= 2
-        assert objective.values[-len(points):].tolist() == [phi(point) for point in points]
-
-
-def _run_to_stop(phi, y0, eps):
-    """Iterate from y0 to the stop; the last state and the (point, value)
-    pairs phi was called with during the stopping iteration."""
-    state = DfSimplexState(y=y0, f=phi(y0), alpha_hat=np.full(len(y0), ALPHA0))
-    while state.stop is None:
-        calls = []
-
-        def recorded(v):
-            value = phi(v)
-            calls.append((v.copy(), value))
-            return value
-
-        start = state
-        state = df_simplex_iterate(state, recorded, eps)
-    assert state.y.tobytes() == start.y.tobytes()
-    return state, calls
-
-
-class TestFinalPoll:
-    def _assert_poll_is_last_sweep(self, phi, y0, eps):
-        state, calls = _run_to_stop(phi, y0, eps)
-        assert state.stop is StopReason.TOLERANCE
-        points = final_poll(state.y, eps)
-        assert points.shape == (len(calls), len(y0))
-        _assert_same_points(list(points), [p for p, _ in calls])
-        return state
-
-    def test_random_runs_with_zero_weights(self):
-        rng = np.random.default_rng(21)
-        eps = 1e-3
-        with_zero = 0
-        for _ in range(40):
-            m = int(rng.integers(2, 12))
-            B = rng.normal(size=(m, m))
-            Q = B.T @ B / m
-            c = rng.normal(size=m) * 3
-            phi = lambda v, Q=Q, c=c: float(0.5 * v @ Q @ v + c @ v)  # noqa: E731
-            y = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.4)
-            y[int(rng.integers(m))] += 1.0
-            y /= y.sum()
-            state = self._assert_poll_is_last_sweep(phi, y, eps)
-            with_zero += bool((state.y <= 0.0).any())
-        assert with_zero > 10
-
-    def test_drained_pivot(self):
-        # the first sweep drains pivot 1 onto coordinate 0 and skips
-        # coordinate 2 with both bounds at zero
-        c = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        y = np.array([0.0, 0.6, 0.0, 0.4, 0.0, 0.0])
-        state = self._assert_poll_is_last_sweep(lambda v: float(c @ v), y, 1e-4)
-        assert np.array_equal(state.y, [1.0, 0, 0, 0, 0, 0])
-
-    def test_steps_truncated_by_small_weights(self):
-        # weights below epsilon cap the reverse probes at the weight itself
-        target = np.array([0.9, 0.07, 0.03])
-        phi = lambda v: float(np.sum((v - target) ** 2))  # noqa: E731
-        eps = 0.03
-        state = self._assert_poll_is_last_sweep(phi, np.full(3, 1 / 3), eps)
-        assert 0.0 < state.y.min() < eps
-
-    def test_singleton_poll_is_empty(self):
-        state = self._assert_poll_is_last_sweep(lambda v: 2.0, np.array([1.0]), 1e-4)
-        assert state.iterations == 1
-        assert final_poll(state.y, 1e-4).shape == (0, 1)

@@ -16,18 +16,16 @@ from atomdfo.core import (
     is_simplex_point,
     weights_point,
 )
-from atomdfo.dfsimplex import GAMMA, StopReason, df_simplex_solve, final_poll
+from atomdfo.dfsimplex import GAMMA, df_simplex_solve
 from atomdfo.ord import (
     OrdStop,
     RefineOutcome,
     drop_phase,
     farthest_distance,
     ord_solve,
-    poll_gradient,
     reexpress_weights,
     refine_phase,
     simplex_gradient,
-    sweep_gradient,
 )
 
 
@@ -316,10 +314,10 @@ def sweep_fits(monkeypatch):
     fits = []
 
     def recording(steps, diffs):
-        fits.append(sweep_gradient(steps, diffs))
+        fits.append(simplex_gradient(steps, diffs))
         return fits[-1]
 
-    monkeypatch.setattr(atomdfo.ord, "sweep_gradient", recording)
+    monkeypatch.setattr(atomdfo.ord, "simplex_gradient", recording)
     return fits
 
 
@@ -439,97 +437,16 @@ def test_refine_called_through_the_module_global(monkeypatch):
     assert calls and sum(calls) <= res.evals
 
 
-def _tangent(v):
-    """v without its component along the all-ones vector."""
-    return v - np.mean(v)
-
-
 class TestSimplexGradient:
-    def test_exact_on_affine(self):
-        rng = np.random.default_rng(5)
-        for m in range(2, 7):
-            c = rng.normal(size=m)
-            phi = lambda y, c=c: float(c @ y + 3.0)
-            y_bar = rng.dirichlet(np.ones(m))
-            f_bar = phi(y_bar)
-            points = np.tile(y_bar, (m - 1, 1))
-            for i in range(1, m):
-                points[i - 1, i] += 1e-3
-                points[i - 1, 0] -= 1e-3
-            g = simplex_gradient(points, [phi(p) for p in points], y_bar, f_bar)
-            assert np.max(np.abs(_tangent(g - c))) <= 1e-8
-
     def test_quadratic_error_order_epsilon(self):
-        # phi(y) = y_1^2 + 2 y_2^2 at the vertex (1, 0): only the backward
-        # exchange probe is feasible; the estimate's tangent part must match
-        # that of (2, 0) within the finite-difference error bound 10 * eps * L
-        # with L = 4.
-        eps = 1e-2
-        phi = lambda y: float(y[0] ** 2 + 2.0 * y[1] ** 2)
-        y_bar = np.array([1.0, 0.0])
-        probe = np.array([1.0 - eps, eps])
-        g = simplex_gradient(probe[None, :], [phi(probe)], y_bar, phi(y_bar))
-        assert np.max(np.abs(_tangent(g - np.array([2.0, 0.0])))) <= 10 * eps * 4.0
-
-    @pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 0.1, 1.0])
-    def test_final_poll_is_poised(self, epsilon):
-        # a TOLERANCE stop's poll holds the forward probe y + a(e_i - e_j) of
-        # every i != pivot j, at one step a = min(y_j, epsilon) > 0, so with
-        # the fit's normal row its rows have full rank whatever the zero
-        # weights, and ORD's drop fit is always determined
-        rng = np.random.default_rng(17)
-        cases = [np.eye(m)[m - 1] for m in (2, 3, 300)] + [np.full(7, 1 / 7)]
-        for _ in range(30):
-            m = int(rng.integers(2, 301))
-            y = rng.dirichlet(np.ones(m))
-            y[rng.choice(m, int(rng.integers(0, m)), replace=False)] = 0.0
-            cases.append(y / y.sum())
-        for y in cases:
-            rows = final_poll(y, epsilon) - y
-            scale = np.linalg.norm(rows, axis=1).max()
-            S_t = np.vstack([rows, np.full(len(y), scale / np.sqrt(len(y)))])
-            rank = np.linalg.lstsq(S_t, np.zeros(len(S_t)), rcond=None)[2]
-            assert rank == len(y), f"m={len(y)}, {int((y == 0.0).sum())} zero weights"
-
-
-class TestPollGradient:
-    def test_fits_the_ledger_tail(self):
-        # the fit reads as many ledger values as the poll has points, the
-        # last ones; values a later evaluation appends would shift it
-        rng = np.random.default_rng(3)
-        for m in range(2, 7):
-            c = rng.normal(size=m)
-            objective = BudgetedObjective(lambda y, c=c: float(c @ y - 1.0))
-            res = df_simplex_solve(objective, np.eye(m)[0], 1e-3)
-            g = poll_gradient(objective, res.y, res.f, 1e-3)
-            assert np.max(np.abs(_tangent(g - c))) <= 1e-8
-
-    def test_empty_poll_reads_no_value(self):
-        # m = 1: the poll is empty, and values[-0:] would be the whole ledger
-        objective = BudgetedObjective(lambda y: 5.0)
-        res = df_simplex_solve(objective, np.array([1.0]), 1e-3)
-        assert objective.eval_count > 0
-        assert poll_gradient(objective, res.y, res.f, 1e-3).tolist() == [0.0]
-
-    def test_ord_and_the_affine_check_fit_through_it(self, monkeypatch):
-        from atomdfo.analysis import check_simplex_gradient_affine
-
-        callers = []
-
-        def recording(objective, y_bar, f_bar, epsilon):
-            callers.append(objective)
-            return poll_gradient(objective, y_bar, f_bar, epsilon)
-
-        monkeypatch.setattr(atomdfo.ord, "poll_gradient", recording)
-        rng = np.random.default_rng(4)
-        atoms = AtomSet(rng.uniform(0, 10, (30, 4)))
-        c = atoms.atoms[:6].mean(axis=0)
-        objective = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2)))
-        ord_solve(objective, atoms, OrdConfig(rng_seed=1), 0)
-        assert callers and all(o is objective for o in callers)
-        callers.clear()
-        assert check_simplex_gradient_affine(3, np.random.default_rng(9)).passed
-        assert len(callers) == 3
+        # f(x) = x_1^2 + 2 x_2^2 at x_bar = (1, 0), whose gradient is (2, 0):
+        # a fit to steps of length about eps is off by at most eps * L, L = 4
+        f = lambda x: float(x[0] ** 2 + 2.0 * x[1] ** 2)
+        x_bar = np.array([1.0, 0.0])
+        for eps in (1e-2, 1e-3):
+            steps = eps * np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+            g = simplex_gradient(steps, np.array([f(x_bar + s) for s in steps]) - f(x_bar))
+            assert np.max(np.abs(g - np.array([2.0, 0.0]))) <= eps * 4.0
 
 
 class TestDropPhase:
@@ -537,34 +454,9 @@ class TestDropPhase:
         got = drop_phase([7, 8, 9], np.array([0.5, 0.5, 0.0]))
         assert got == {9}
 
-    def test_gradient_filter_keeps_descent_candidate(self):
-        # g^T (e_3 - y) = -1 < 0: the estimate still points at atom 9, keep it
-        got = drop_phase([7, 8, 9], np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, -1.0]))
-        assert got == set()
-
-    def test_gradient_filter_drops_ascent_candidate(self):
-        got = drop_phase([7, 8, 9], np.array([0.5, 0.5, 0.0]), np.array([0.0, 0.0, 1.0]))
-        assert got == {9}
-
     def test_positive_weights_never_dropped(self):
         got = drop_phase([0, 1], np.array([0.7, 0.3]))
         assert got == set()
-
-    def test_filtered_is_subset_of_zero_weight(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            m = int(rng.integers(2, 8))
-            y = np.where(rng.uniform(size=m) < 0.4, 0.0, rng.uniform(size=m))
-            if y.sum() == 0:
-                continue
-            y = y / y.sum()
-            ids = list(range(m))
-            g = rng.normal(size=m)
-            assert drop_phase(ids, y, g) <= drop_phase(ids, y)
-
-    def test_gradient_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            drop_phase([0, 1], np.array([1.0, 0.0]), np.zeros(3))
 
 
 class TestReexpressWeights:
@@ -779,87 +671,23 @@ class TestOrdSolve:
             x = y @ atoms.atoms
         assert np.linalg.norm(x - c) <= 1e-2
 
-    def test_gradient_fitted_only_when_a_weight_is_zero(self, monkeypatch):
-        # without a zero weight drop_phase drops nothing whatever g is, so
-        # the fit is skipped; with one, it is fitted exactly once
-        calls = []
-
-        def counting(points, values, y_bar, f_bar):
-            calls.append(y_bar)
-            return simplex_gradient(points, values, y_bar, f_bar)
-
-        monkeypatch.setattr(atomdfo.ord, "simplex_gradient", counting)
-        rng = np.random.default_rng(4)
-        atoms = AtomSet(rng.uniform(0, 10, (30, 4)))
-        c = atoms.atoms[:6].mean(axis=0)
-        f = lambda x: float(np.sum((x - c) ** 2))
-        records = []
-        ord_solve(f, atoms, OrdConfig(rng_seed=1), 0, sink=records.append)
-        with_zero = [rec for rec in records if (rec.y_bar <= ZERO_TOL).any()]
-        assert 0 < len(with_zero) < len(records)
-        assert len(calls) == len(with_zero)
-        assert all(a is rec.y_bar for a, rec in zip(calls, with_zero))
-
-    def test_gradient_fits_the_stopping_iteration_probes(self, monkeypatch):
-        # the fit reads the final poll and the ledger's tail: both must be
-        # what phi saw in the inner solve's stopping iteration, in order,
-        # and none of refine's evaluations, which follow the fit
-        last_sweep = []
-        fits = []
-        iterate = atomdfo.dfsimplex.df_simplex_iterate
-
-        def recording_iterate(state, phi, epsilon):
-            calls = []
-
-            def recorded(y):
-                value = phi(y)
-                calls.append((y.copy(), value))
-                return value
-
-            out = iterate(state, recorded, epsilon)
-            if out.stop is StopReason.TOLERANCE:
-                last_sweep[:] = calls
-            return out
-
-        def checked(points, values, y_bar, f_bar):
-            assert [p.tobytes() for p in points] == [p.tobytes() for p, _ in last_sweep]
-            assert list(values) == [v for _, v in last_sweep]
-            fits.append(objective.eval_count)
-            return simplex_gradient(points, values, y_bar, f_bar)
-
-        monkeypatch.setattr(atomdfo.dfsimplex, "df_simplex_iterate", recording_iterate)
-        monkeypatch.setattr(atomdfo.ord, "simplex_gradient", checked)
-        rng = np.random.default_rng(4)
-        atoms = AtomSet(rng.uniform(0, 10, (30, 4)))
-        c = atoms.atoms[:6].mean(axis=0)
-        objective = BudgetedObjective(lambda x: float(np.sum((x - c) ** 2)))
-        ord_solve(objective, atoms, OrdConfig(rng_seed=1), 0)
-        assert fits and fits[-1] < objective.eval_count
-
-    def test_zero_weight_rule_drops_what_the_filter_keeps(self, zero_weight_drop):
-        # the instance is the first refine seed in range(20) on which the
-        # gradient filter keeps a zero-weight atom; on it the weight-only rule
-        # must drop every zero-weight atom, and change the run
-        atoms = generate_uniform_atoms(4, 40, seed=1)
-        func = make_test_function("fletchcr", 4)
-
-        def run(seed):
-            obj = BudgetedObjective(func.value, budget=500)
+    def test_drops_exactly_the_zero_weight_atoms(self):
+        # every iteration drops its zero-weight atoms and keeps the rest, in
+        # order, with a refined atom appended last
+        zero_weight_iterations = 0
+        for name, seed in [("fletchcr", 1), ("ext_rosenbrock", 2), ("cosine", 3)]:
+            atoms = generate_uniform_atoms(4, 40, seed=seed)
+            objective = BudgetedObjective(make_test_function(name, 4).value, budget=500)
             records = []
-            res = ord_solve(obj, atoms, OrdConfig(rng_seed=seed), 0, sink=records.append)
-            return (obj.values.tobytes(), res.weights.w.tobytes(), res.weights.ids, res.stop), records
-
-        def zeros(rec):
-            return int((rec.y_bar <= ZERO_TOL).sum())
-
-        seed = next((seed for seed in range(20)
-                     if any(rec.dropped < zeros(rec) for rec in run(seed)[1])), None)
-        assert seed is not None, "the filter keeps no zero-weight atom at seeds 0-19"
-        fitted, _ = run(seed)
-        with zero_weight_drop():
-            forced, records = run(seed)
-        assert [rec.dropped for rec in records] == [zeros(rec) for rec in records]
-        assert forced != fitted
+            ord_solve(objective, atoms, OrdConfig(rng_seed=seed), 0, sink=records.append)
+            for rec, nxt in zip(records, records[1:]):
+                zero = rec.y_bar <= ZERO_TOL
+                assert rec.dropped == zero.sum()
+                kept = [i for i, z in zip(rec.active_ids, zero) if not z]
+                assert list(nxt.active_ids[:len(kept)]) == kept
+                assert nxt.active_size == len(kept) + rec.refined
+            zero_weight_iterations += sum(bool(rec.dropped) for rec in records)
+        assert zero_weight_iterations > 0
 
     @pytest.mark.parametrize("solver", ["ord", "dfsimplex"])
     def test_spent_budget_raises_from_the_first_evaluation(self, solver):
@@ -940,7 +768,6 @@ def test_l1_ball_recovers_sparse_signal():
     assert by_weight[7] >= 0.7
 
 
-@pytest.mark.usefixtures("drop_rule")
 def test_identification_on_face_minimizer():
     # The target sits below a triangular bottom face, so the hull minimizer
     # lies on that face with gradient (0, 0, 2): every atom strictly above
@@ -985,7 +812,6 @@ def _identification_case(seed):
     return atoms, g, best
 
 
-@pytest.mark.usefixtures("drop_rule")
 def test_identification_on_linear_objective():
     # Linear objectives give active-set identification teeth: the minimizer
     # is the best vertex and every other atom has a strictly positive gap, so

@@ -768,7 +768,26 @@ def test_l1_ball_recovers_sparse_signal():
     assert by_weight[7] >= 0.7
 
 
-def test_identification_on_face_minimizer():
+@pytest.fixture(params=["zero_weight", "gradient_filtered"])
+def sweep_order(request, monkeypatch):
+    """Runs a test with refine's sweep fit taken out, then with ORD as it is.
+
+    Under "zero_weight" simplex_gradient returns None, so every refine sweep
+    keeps its seeded order and only the weights, through the drop rule, steer
+    the working set. Under "gradient_filtered" refine ranks the rest of each
+    sweep by the gradient fitted to its failed probes. Returns the fits made.
+    """
+    fits = []
+
+    def recording(steps, diffs):
+        fits.append(simplex_gradient(steps, diffs) if request.param == "gradient_filtered" else None)
+        return fits[-1]
+
+    monkeypatch.setattr(atomdfo.ord, "simplex_gradient", recording)
+    return fits
+
+
+def test_identification_on_face_minimizer(sweep_order):
     # The target sits below a triangular bottom face, so the hull minimizer
     # lies on that face with gradient (0, 0, 2): every atom strictly above
     # has a positive gap and must leave the working set for good.
@@ -802,6 +821,8 @@ def test_identification_on_face_minimizer():
             if rec.k > entered:
                 assert not (set(rec.active_ids) & margin_atoms)
         assert set(res.weights.ids) <= {0, 1, 2}
+    # some sweep reached its fit, so the two sweep orders really differ
+    assert sweep_order
 
 
 def _identification_case(seed):
@@ -812,7 +833,7 @@ def _identification_case(seed):
     return atoms, g, best
 
 
-def test_identification_on_linear_objective():
+def test_identification_on_linear_objective(sweep_order):
     # Linear objectives give active-set identification teeth: the minimizer
     # is the best vertex and every other atom has a strictly positive gap, so
     # all of them must leave the working set once the iterates are close.
@@ -837,6 +858,7 @@ def test_identification_on_linear_objective():
             if rec.k > entered:
                 assert not (set(rec.active_ids) & margin_atoms)
         assert not (set(res.weights.ids) & margin_atoms)
+    assert sweep_order
 
 
 
